@@ -44,7 +44,6 @@ main(int argc, char **argv)
             spec.compile.lowering.sinkExits = mode == 0;
             spec.maxInsts = steps;
             spec.seed = seed;
-            applyCheckpointOptions(spec, opts);
             specs.push_back(spec);
         }
     }

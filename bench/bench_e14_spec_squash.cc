@@ -39,7 +39,6 @@ main(int argc, char **argv)
             base.engine.availDelay = delay;
             base.maxInsts = steps;
             base.seed = seed;
-            applyCheckpointOptions(base, opts);
             specs.push_back(base);
 
             RunSpec spec = base;

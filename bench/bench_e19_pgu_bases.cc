@@ -40,7 +40,6 @@ main(int argc, char **argv)
             alone.predictor = kind;
             alone.maxInsts = steps;
             alone.seed = seed;
-            applyCheckpointOptions(alone, opts);
             specs.push_back(alone);
 
             RunSpec both = alone;

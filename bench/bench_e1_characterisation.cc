@@ -44,7 +44,6 @@ main(int argc, char **argv)
         pred.workload = name;
         pred.maxInsts = steps;
         pred.seed = seed;
-        applyCheckpointOptions(pred, opts);
         specs.push_back(pred);
     }
 

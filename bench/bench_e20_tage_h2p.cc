@@ -95,7 +95,6 @@ main(int argc, char **argv)
             spec.seed = seed;
             spec.engine.useSfpf = config.sfpf;
             spec.engine.usePgu = config.pgu;
-            applyCheckpointOptions(spec, opts);
             specs.push_back(spec);
         }
     }

@@ -103,8 +103,8 @@ main(int argc, char **argv)
         spec.maxInsts = steps;
         spec.seed = seed;
         spec.engine.modelTargets = true;
-        applyCheckpointOptions(spec, opts);
-        // After applyCheckpointOptions: that helper also applies the
+        applyRunOptions(spec, opts);
+        // After applyRunOptions: that helper also applies the
         // --characterize flag (default off), and E22 cells are always
         // characterized - that is the whole point of the bench.
         spec.characterize = true;

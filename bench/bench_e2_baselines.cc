@@ -43,7 +43,6 @@ main(int argc, char **argv)
             spec.sizeLog2 = size_log2;
             spec.maxInsts = steps;
             spec.seed = seed;
-            applyCheckpointOptions(spec, opts);
             specs.push_back(spec);
         }
     }

@@ -40,7 +40,6 @@ main(int argc, char **argv)
             base.sizeLog2 = size_log2;
             base.maxInsts = steps;
             base.seed = seed;
-            applyCheckpointOptions(base, opts);
             specs.push_back(base);
 
             RunSpec sfpf = base;
@@ -55,7 +54,6 @@ main(int argc, char **argv)
         base.workload = name;
         base.maxInsts = steps;
         base.seed = seed;
-        applyCheckpointOptions(base, opts);
         specs.push_back(base);
 
         RunSpec sfpf = base;

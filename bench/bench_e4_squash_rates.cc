@@ -36,7 +36,6 @@ main(int argc, char **argv)
             spec.engine.availDelay = delay;
             spec.maxInsts = steps;
             spec.seed = seed;
-            applyCheckpointOptions(spec, opts);
             specs.push_back(spec);
         }
     }

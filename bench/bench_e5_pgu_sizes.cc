@@ -37,7 +37,6 @@ main(int argc, char **argv)
             base.sizeLog2 = size_log2;
             base.maxInsts = steps;
             base.seed = seed;
-            applyCheckpointOptions(base, opts);
             specs.push_back(base);
 
             RunSpec pgu = base;
@@ -52,7 +51,6 @@ main(int argc, char **argv)
         base.workload = name;
         base.maxInsts = steps;
         base.seed = seed;
-        applyCheckpointOptions(base, opts);
         specs.push_back(base);
 
         // The detail PGU run also reports inserted history bits

@@ -56,7 +56,6 @@ main(int argc, char **argv)
             spec.engine.usePgu = config.pgu;
             spec.maxInsts = steps;
             spec.seed = seed;
-            applyCheckpointOptions(spec, opts);
             specs.push_back(spec);
         }
     }

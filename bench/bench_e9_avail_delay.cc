@@ -45,7 +45,6 @@ main(int argc, char **argv)
             spec.compile.heuristics = corrWorkloadHeuristics();
             spec.maxInsts = steps;
             spec.seed = seed;
-            applyCheckpointOptions(spec, opts);
             specs.push_back(spec);
         }
     }

@@ -7,8 +7,8 @@
  * tables from the ordered results.
  *
  * Every binary accepts --steps, --seed, --csv, --jobs and the
- * checkpoint options; experiment-specific knobs are declared per
- * binary.
+ * metrics / replay / robustness options; experiment-specific knobs
+ * are declared per binary.
  */
 
 #ifndef PABP_BENCH_COMMON_HH
@@ -37,13 +37,6 @@ standardOptions()
     opts.declare("jobs", "0",
                  "parallel sweep workers (0 = hardware concurrency; "
                  "output is identical at any value)");
-    opts.declare("checkpoint-every", "0",
-                 "checkpoint every N instructions (0 = off)");
-    opts.declare("checkpoint-file", "pabp.ckpt",
-                 "base checkpoint path for --checkpoint-every (each "
-                 "run derives pabp-<fingerprint>.ckpt from it)");
-    opts.declare("resume", "",
-                 "base checkpoint path to resume each run from");
     opts.declare("metrics-dir", "",
                  "export per-cell metrics JSON into this directory "
                  "(pabp-metrics-<fingerprint>.json; empty = off)");
@@ -179,36 +172,23 @@ contextSpecFromOptions(const Options &opts)
     return ctx;
 }
 
-/** Copy the standard checkpoint + metrics + replay-strategy options
+/** Copy the standard metrics + replay-strategy + robustness options
  *  into a run spec. */
 inline void
-applyCheckpointOptions(RunSpec &spec, const Options &opts)
+applyRunOptions(RunSpec &spec, const Options &opts)
 {
-    spec.checkpointEvery =
-        static_cast<std::uint64_t>(opts.integer("checkpoint-every"));
-    spec.checkpointPath = opts.str("checkpoint-file");
-    spec.resumePath = opts.str("resume");
     spec.metricsDir = opts.str("metrics-dir");
     spec.fastReplay = fastReplayFromOptions(opts);
     spec.characterize = opts.flag("characterize");
     applyRobustnessOptions(spec, opts);
 }
 
-/** Fill RunSpec::metricsDir, the replay strategy and the robustness
- *  knobs on a whole grid, for binaries that do not route specs
- *  through applyCheckpointOptions. */
+/** applyRunOptions() over a whole grid. */
 inline void
 applyMetricsOptions(std::vector<RunSpec> &specs, const Options &opts)
 {
-    const std::string dir = opts.str("metrics-dir");
-    const bool fast = fastReplayFromOptions(opts);
-    const bool characterize = opts.flag("characterize");
-    for (RunSpec &spec : specs) {
-        spec.metricsDir = dir;
-        spec.fastReplay = fast;
-        spec.characterize = characterize;
-        applyRobustnessOptions(spec, opts);
-    }
+    for (RunSpec &spec : specs)
+        applyRunOptions(spec, opts);
 }
 
 /** Build the runner config from the standard --jobs option. */

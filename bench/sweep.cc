@@ -13,7 +13,6 @@
 
 #include "bpred/factory.hh"
 #include "bpred/gshare.hh"
-#include "core/checkpoint.hh"
 #include "core/multictx.hh"
 #include "sim/emulator.hh"
 #include "util/metrics.hh"
@@ -100,8 +99,8 @@ hashEngineConfig(Fnv &fnv, const EngineConfig &e)
     fnv.u32(static_cast<std::uint32_t>(e.specGate));
     fnv.u32(e.jrsEntriesLog2);
     // Target-modelling fields fold in only when armed, so every
-    // direction-only spec keeps the fingerprint (and checkpoint /
-    // metrics file names) it had before the knob existed.
+    // direction-only spec keeps the fingerprint (and metrics file
+    // name) it had before the knob existed.
     if (e.modelTargets) {
         fnv.b(e.modelTargets);
         fnv.u32(e.btbSetsLog2);
@@ -139,39 +138,17 @@ materialiseWorkload(const RunSpec &spec, std::uint64_t seed)
     return makeWorkload(spec.workload, seed);
 }
 
-/** Resume outcomes that mean "start this cell fresh" rather than
- *  "this cell failed": the file is missing (the interrupted sweep
- *  never got to checkpoint this cell) or it belongs to a different
- *  configuration (fingerprint/section mismatch). Damage - CRC, bad
- *  magic, truncation - stays an error. */
-bool
-resumeFallsBackToFresh(const Status &status)
-{
-    return status.code() == StatusCode::IoError ||
-        status.code() == StatusCode::InvalidArgument ||
-        // A checkpoint written by an older format version is not
-        // damage: the format comment in core/checkpoint.cc promises
-        // runners restart such cells from scratch.
-        status.code() == StatusCode::VersionMismatch;
-}
-
 /** Wall-clock deadline for one cell attempt (RunSpec::watchdogMillis).
- *  Unarmed (0) deadlines never expire and leave the engine loops
- *  un-chunked. */
+ *  Unarmed (0) deadlines never expire and leave the cell loops
+ *  un-sliced. */
 class CellDeadline
 {
   public:
-    explicit CellDeadline(std::uint32_t millis)
-        : armed(millis > 0),
+    CellDeadline(const RunSpec &spec, std::uint32_t millis)
+        : spec(spec), armed(millis > 0),
           at(std::chrono::steady_clock::now() +
              std::chrono::milliseconds(millis))
     {}
-
-    bool
-    expired() const
-    {
-        return armed && std::chrono::steady_clock::now() >= at;
-    }
 
     /** Budget slice between checks: the heartbeat grain when armed,
      *  the whole remaining budget when not. */
@@ -183,13 +160,16 @@ class CellDeadline
         return std::min(heartbeat, remaining);
     }
 
-    /** NOTE: deliberately free of wall-clock-dependent detail (how
-     *  many instructions ran varies run to run) - the text lands in
+    /** Ok while the deadline holds, DeadlineExceeded once it passed.
+     *  NOTE: deliberately free of wall-clock-dependent detail (how
+     *  far the cell got varies run to run) - the text lands in
      *  quarantine journal records, whose bytes must converge across
      *  interrupted and clean campaigns (bench/sweep_service.hh). */
     Status
-    status(const RunSpec &spec, std::uint64_t) const
+    check() const
     {
+        if (!armed || std::chrono::steady_clock::now() < at)
+            return Status();
         return Status(StatusCode::DeadlineExceeded,
                       "cell '" + spec.workload + "' overran its " +
                           std::to_string(spec.watchdogMillis) +
@@ -197,9 +177,37 @@ class CellDeadline
     }
 
   private:
+    const RunSpec &spec;
     bool armed;
     std::chrono::steady_clock::time_point at;
 };
+
+/**
+ * The one sliced cell driver. Advances a cell through @p budget
+ * instructions in heartbeat slices, checking the deadline after each
+ * full slice; @p step(pos, chunk) runs up to @p chunk instructions
+ * from @p pos and returns the new position. A step that falls short
+ * means the stream ended (trace exhausted, workload halted) and ends
+ * the run. Every step continues exactly where the last one stopped,
+ * so the slicing is unobservable in the results. Returns the final
+ * position, or DeadlineExceeded.
+ */
+template <typename Step>
+Expected<std::uint64_t>
+runSliced(const CellDeadline &deadline, std::uint64_t heartbeat,
+          std::uint64_t budget, Step &&step)
+{
+    std::uint64_t pos = 0;
+    while (pos < budget) {
+        const std::uint64_t chunk = deadline.slice(heartbeat, budget - pos);
+        const std::uint64_t next = step(pos, chunk);
+        if (next < pos + chunk)
+            return next;
+        pos = next;
+        PABP_TRY(deadline.check());
+    }
+    return pos;
+}
 
 void
 accumulateClassStats(BranchClassStats &into,
@@ -259,11 +267,9 @@ exportSpecKeys(MetricsExporter &ex, const RunSpec &spec)
  * is also what pins the registry path itself in every metrics-enabled
  * sweep.
  *
- * RunResult::resumed is deliberately NOT exported: the resume
- * equivalence contract promises a resumed run's metrics file is
- * byte-identical to an uninterrupted one's. Neither are the
- * robustness knobs or attempt counts - a cell that needed a retry
- * must still measure (and serialise) identically to one that did not.
+ * The robustness knobs and attempt counts are deliberately NOT
+ * exported: a cell that needed a retry must still measure (and
+ * serialise) identically to one that did not.
  */
 MetricsExporter
 buildCellMetrics(const RunSpec &spec, const RunResult &result,
@@ -405,6 +411,23 @@ finishCellOutputs(const RunSpec &spec, RunResult &result,
                             buildCellMetrics(spec, result, engine));
 }
 
+/** The single-engine result tail shared by fast Trace, reference
+ *  Trace and Timed cells: counters, profile, conflict counts and the
+ *  observational outputs. */
+Status
+finishEngineCell(const RunSpec &spec, RunResult &result,
+                 PredictionEngine &engine, const GSharePredictor *gshare)
+{
+    result.engine = engine.stats();
+    result.pguBits = engine.pguBitsInserted();
+    result.profile = engine.branchProfile();
+    if (gshare) {
+        result.lookups = gshare->lookupCount();
+        result.conflicts = gshare->conflictCount();
+    }
+    return finishCellOutputs(spec, result, &engine);
+}
+
 /** The multi-context cell's observational outputs. */
 Status
 finishMultiCtxOutputs(const RunSpec &spec, RunResult &result)
@@ -447,21 +470,6 @@ specFingerprint(const RunSpec &spec)
 }
 
 std::string
-derivedCheckpointPath(const std::string &base,
-                      std::uint64_t fingerprint)
-{
-    char fp[20];
-    std::snprintf(fp, sizeof(fp), "-%016llx",
-                  static_cast<unsigned long long>(fingerprint));
-    std::size_t slash = base.find_last_of('/');
-    std::size_t dot = base.find_last_of('.');
-    if (dot == std::string::npos ||
-        (slash != std::string::npos && dot < slash))
-        return base + fp;
-    return base.substr(0, dot) + fp + base.substr(dot);
-}
-
-std::string
 metricsFilePath(const std::string &dir, std::uint64_t fingerprint)
 {
     char fp[20];
@@ -476,46 +484,52 @@ SweepRunner::SweepRunner(Config config)
       queueCapacity(config.queueCapacity)
 {}
 
+template <typename T, typename Build>
+Expected<std::shared_ptr<const T>>
+SweepRunner::memo(const std::string &key, std::uint64_t *builds,
+                  std::uint64_t *hits, Build &&build)
+{
+    std::promise<Artifact> promise;
+    std::shared_future<Artifact> future;
+    bool build_here = false;
+    {
+        std::lock_guard<std::mutex> lock(cacheMtx);
+        auto [it, inserted] = artifacts.try_emplace(key);
+        if (inserted)
+            it->second = promise.get_future().share();
+        future = it->second;
+        build_here = inserted;
+        if (std::uint64_t *counter = inserted ? builds : hits)
+            ++*counter;
+    }
+    if (build_here) {
+        Expected<std::shared_ptr<const T>> built = build();
+        if (built.ok())
+            promise.set_value(
+                std::shared_ptr<const void>(std::move(built.value())));
+        else
+            promise.set_value(built.status());
+    }
+    const Artifact &artifact = future.get();
+    if (!artifact.ok())
+        return artifact.status();
+    return std::static_pointer_cast<const T>(artifact.value());
+}
+
 Expected<SweepRunner::ProgramHandle>
 SweepRunner::compiledFor(const RunSpec &spec)
 {
-    std::string key = programCacheKey(spec);
-
-    std::promise<ProgramHandle> promise;
-    std::shared_future<ProgramHandle> future;
-    bool compile_here = false;
-    {
-        std::lock_guard<std::mutex> lock(cacheMtx);
-        auto it = cache.find(key);
-        if (it == cache.end()) {
-            future = promise.get_future().share();
-            cache.emplace(key, future);
-            compile_here = true;
-            ++stats.compiles;
-        } else {
-            future = it->second;
-            ++stats.hits;
-        }
-    }
-    if (!compile_here)
-        return future.get();
-
-    // First requester of this key compiles; everyone else blocks on
-    // the shared future and then reads the same immutable program.
-    Expected<Workload> wl =
-        materialiseWorkload(spec, resolvedCompileSeed(spec));
-    if (!wl.ok()) {
-        // Unblock any waiters with an empty handle; they re-derive
-        // the same error from their own spec.
-        promise.set_value(nullptr);
-        return wl.status();
-    }
-    CompileOptions copts = spec.compile;
-    copts.ifConvert = spec.ifConvert;
-    ProgramHandle handle = std::make_shared<const CompiledProgram>(
-        compileWorkload(wl.value(), copts));
-    promise.set_value(handle);
-    return handle;
+    return memo<CompiledProgram>(
+        programCacheKey(spec), &stats.compiles, &stats.hits,
+        [&]() -> Expected<ProgramHandle> {
+            Expected<Workload> wl =
+                materialiseWorkload(spec, resolvedCompileSeed(spec));
+            PABP_TRY(wl.status());
+            CompileOptions copts = spec.compile;
+            copts.ifConvert = spec.ifConvert;
+            return std::make_shared<const CompiledProgram>(
+                compileWorkload(wl.value(), copts));
+        });
 }
 
 Expected<SweepRunner::TraceHandle>
@@ -526,101 +540,44 @@ SweepRunner::decodedFor(const RunSpec &spec,
     // Recording is deterministic in (program, measurement seed,
     // budget): the same key always yields the same events, so the
     // decoded trace can be shared read-only like the program itself.
-    std::string key = programCacheKey(spec) + ":" +
-        std::to_string(seed) + ":" +
-        std::to_string(spec.maxInsts) + ":decoded";
-
-    std::promise<TraceHandle> promise;
-    std::shared_future<TraceHandle> future;
-    bool record_here = false;
-    {
-        std::lock_guard<std::mutex> lock(cacheMtx);
-        auto it = traceCache.find(key);
-        if (it == traceCache.end()) {
-            future = promise.get_future().share();
-            traceCache.emplace(key, future);
-            record_here = true;
-            ++stats.records;
-        } else {
-            future = it->second;
-            ++stats.traceHits;
-        }
-    }
-    if (!record_here) {
-        TraceHandle handle = future.get();
-        if (!handle) {
-            // The recording peer hit a workload error; re-derive it
-            // from this spec's own view.
+    const std::string key = programCacheKey(spec) + ":" +
+        std::to_string(seed) + ":" + std::to_string(spec.maxInsts) +
+        ":decoded";
+    return memo<DecodedTrace>(
+        key, &stats.records, &stats.traceHits,
+        [&]() -> Expected<TraceHandle> {
             Expected<Workload> wl = materialiseWorkload(spec, seed);
-            return wl.ok() ? Status(StatusCode::NotFound,
-                                    "trace recording failed for " +
-                                        spec.workload)
-                           : wl.status();
-        }
-        return handle;
-    }
-
-    Expected<Workload> wl = materialiseWorkload(spec, seed);
-    if (!wl.ok()) {
-        promise.set_value(nullptr);
-        return wl.status();
-    }
-    Emulator emu(program->prog);
-    if (wl.value().init)
-        wl.value().init(emu.state());
-    RecordedTrace recorded = recordTrace(emu, spec.maxInsts);
-    TraceHandle handle = std::make_shared<const DecodedTrace>(
-        DecodedTrace::build(recorded));
-    promise.set_value(handle);
-    return handle;
+            PABP_TRY(wl.status());
+            Emulator emu(program->prog);
+            if (wl.value().init)
+                wl.value().init(emu.state());
+            RecordedTrace recorded = recordTrace(emu, spec.maxInsts);
+            return std::make_shared<const DecodedTrace>(
+                DecodedTrace::build(recorded));
+        });
 }
 
 Expected<SweepRunner::ReportHandle>
 SweepRunner::characterizedFor(const RunSpec &spec,
                               const ProgramHandle &program)
 {
-    // Same sharing discipline as the program and trace caches: the
-    // report is a pure function of (program, measurement seed,
-    // budget), so the first requester computes it and every other
-    // cell of the key reads the same immutable object.
-    std::string key = programCacheKey(spec) + ":" +
+    // The report is a pure function of (program, measurement seed,
+    // budget), computed over the same decoded trace every replaying
+    // cell of that key consumes. The lookup itself is uncounted; the
+    // trace it needs counts as usual.
+    const std::string key = programCacheKey(spec) + ":" +
         std::to_string(spec.seed) + ":" +
         std::to_string(spec.maxInsts) + ":predictability";
-
-    std::promise<ReportHandle> promise;
-    std::shared_future<ReportHandle> future;
-    bool compute_here = false;
-    {
-        std::lock_guard<std::mutex> lock(cacheMtx);
-        auto it = predCache.find(key);
-        if (it == predCache.end()) {
-            future = promise.get_future().share();
-            predCache.emplace(key, future);
-            compute_here = true;
-        } else {
-            future = it->second;
-        }
-    }
-    if (!compute_here) {
-        ReportHandle handle = future.get();
-        if (!handle)
-            return Status(StatusCode::NotFound,
-                          "characterization failed for " +
-                              spec.workload);
-        return handle;
-    }
-
-    Expected<TraceHandle> decoded =
-        decodedFor(spec, program, spec.seed);
-    if (!decoded.ok()) {
-        promise.set_value(nullptr);
-        return decoded.status();
-    }
-    ReportHandle handle =
-        std::make_shared<const PredictabilityReport>(characterizeTrace(
-            *decoded.value(), PredictabilityConfig{}, spec.maxInsts));
-    promise.set_value(handle);
-    return handle;
+    return memo<PredictabilityReport>(
+        key, nullptr, nullptr, [&]() -> Expected<ReportHandle> {
+            Expected<TraceHandle> decoded =
+                decodedFor(spec, program, spec.seed);
+            PABP_TRY(decoded.status());
+            return std::make_shared<const PredictabilityReport>(
+                characterizeTrace(*decoded.value(),
+                                  PredictabilityConfig{},
+                                  spec.maxInsts));
+        });
 }
 
 RunResult
@@ -634,16 +591,17 @@ SweepRunner::executeSpecAttempt(const RunSpec &spec, unsigned attempt)
             return result;
         }
     }
+    RunResult result;
     try {
-        return executeSpec(spec);
+        result.status = executeSpec(spec, result);
     } catch (const std::exception &e) {
-        RunResult result;
+        result = RunResult();
         result.status =
             Status(StatusCode::Corrupt,
                    std::string("unhandled exception in sweep cell: ") +
                        e.what());
-        return result;
     }
+    return result;
 }
 
 RunResult
@@ -684,46 +642,21 @@ SweepRunner::executeSpecGuarded(const RunSpec &spec)
     return result;
 }
 
-void
-SweepRunner::noteResumeFallback(const RunSpec &spec,
-                                const std::string &resume_file,
-                                const Status &status)
+Status
+SweepRunner::executeSpec(const RunSpec &spec, RunResult &result)
 {
-    pabp_warn("sweep cell (" + spec.workload + ", " + spec.predictor +
-              "): resume from '" + resume_file + "' failed (" +
-              status.toString() + "); falling back to a cold start");
-    std::lock_guard<std::mutex> lock(cacheMtx);
-    ++resumeFallbackCount;
-}
-
-std::uint64_t
-SweepRunner::resumeFallbacks() const
-{
-    std::lock_guard<std::mutex> lock(cacheMtx);
-    return resumeFallbackCount;
-}
-
-RunResult
-SweepRunner::executeSpec(const RunSpec &spec)
-{
-    RunResult result;
+    // Armed at cell entry, so the artifact phases - time blocked on
+    // another worker's build included - count against the deadline.
+    // Timed and multi-context cells run in one shot, bounded by their
+    // instruction budget alone.
+    const CellDeadline deadline(
+        spec, spec.mode == RunMode::Timed || spec.context.contexts > 1
+                  ? 0
+                  : spec.watchdogMillis);
 
     Expected<ProgramHandle> program = compiledFor(spec);
-    if (!program.ok()) {
-        result.status = program.status();
-        return result;
-    }
-    if (!program.value()) {
-        // A waiter whose compiling peer hit a workload error: report
-        // it from this spec's own view.
-        Expected<Workload> wl =
-            materialiseWorkload(spec, resolvedCompileSeed(spec));
-        result.status = wl.ok()
-            ? Status(StatusCode::NotFound,
-                     "workload compilation failed for " + spec.workload)
-            : wl.status();
-        return result;
-    }
+    PABP_TRY(program.status());
+    PABP_TRY(deadline.check());
     const CompiledProgram &cp = *program.value();
     result.numRegions = cp.info.numRegions;
     result.numRegionBranches = cp.info.numRegionBranches;
@@ -731,62 +664,43 @@ SweepRunner::executeSpec(const RunSpec &spec)
     // The measured run's memory image comes from the measurement
     // seed (== compile seed unless a cross-input spec says otherwise).
     Expected<Workload> init_wl = materialiseWorkload(spec, spec.seed);
-    if (!init_wl.ok()) {
-        result.status = init_wl.status();
-        return result;
-    }
+    PABP_TRY(init_wl.status());
     const StateInit &init = init_wl.value().init;
 
     // Characterize before the measured run: the report comes off the
     // shared decoded trace, so fast-replay, reference and Timed cells
     // of the same (workload, seed, budget) all report the same bytes.
     if (spec.characterize) {
-        if (spec.mode == RunMode::Observe ||
-            spec.context.contexts > 1) {
-            result.status = Status(
-                StatusCode::InvalidArgument,
-                "characterize requires a single-context Trace or "
-                "Timed cell");
-            return result;
-        }
+        if (spec.mode == RunMode::Observe || spec.context.contexts > 1)
+            return Status(StatusCode::InvalidArgument,
+                          "characterize requires a single-context "
+                          "Trace or Timed cell");
         Expected<ReportHandle> rep =
             characterizedFor(spec, program.value());
-        if (!rep.ok()) {
-            result.status = rep.status();
-            return result;
-        }
+        PABP_TRY(rep.status());
+        PABP_TRY(deadline.check());
         result.predictability = rep.value();
     }
 
     if (spec.mode == RunMode::Observe) {
-        if (!spec.observe) {
-            result.status = Status(StatusCode::InvalidArgument,
-                                   "Observe spec has no observer");
-            return result;
-        }
+        if (!spec.observe)
+            return Status(StatusCode::InvalidArgument,
+                          "Observe spec has no observer");
         Emulator emu(cp.prog);
         if (init)
             init(emu.state());
         DynInst dyn;
-        std::uint64_t executed = 0;
-        CellDeadline deadline(spec.watchdogMillis);
-        std::uint64_t until_check =
-            deadline.slice(spec.heartbeatInsts, spec.maxInsts);
-        while (executed < spec.maxInsts && emu.step(dyn)) {
-            spec.observe(dyn);
-            ++executed;
-            if (--until_check == 0) {
-                if (deadline.expired()) {
-                    result.status = deadline.status(spec, executed);
-                    return result;
-                }
-                until_check = deadline.slice(
-                    spec.heartbeatInsts, spec.maxInsts - executed);
-            }
-        }
-        result.engine.insts = executed;
-        result.status = finishCellOutputs(spec, result, nullptr);
-        return result;
+        Expected<std::uint64_t> executed = runSliced(
+            deadline, spec.heartbeatInsts, spec.maxInsts,
+            [&](std::uint64_t pos, std::uint64_t chunk) {
+                for (const std::uint64_t end = pos + chunk;
+                     pos < end && emu.step(dyn); ++pos)
+                    spec.observe(dyn);
+                return pos;
+            });
+        PABP_TRY(executed.status());
+        result.engine.insts = executed.value();
+        return finishCellOutputs(spec, result, nullptr);
     }
 
     // Build the predictor; a bad spec fails this cell with a typed
@@ -794,13 +708,10 @@ SweepRunner::executeSpec(const RunSpec &spec)
     PredictorPtr owned;
     GSharePredictor *gshare = nullptr;
     if (spec.profileConflicts) {
-        if (spec.predictor != "gshare") {
-            result.status =
-                Status(StatusCode::InvalidArgument,
-                       "conflict profiling requires the gshare "
-                       "predictor, got: " + spec.predictor);
-            return result;
-        }
+        if (spec.predictor != "gshare")
+            return Status(StatusCode::InvalidArgument,
+                          "conflict profiling requires the gshare "
+                          "predictor, got: " + spec.predictor);
         auto g = std::make_unique<GSharePredictor>(spec.sizeLog2);
         g->enableConflictProfiling();
         gshare = g.get();
@@ -808,28 +719,18 @@ SweepRunner::executeSpec(const RunSpec &spec)
     } else {
         Expected<PredictorPtr> made =
             tryMakePredictor(spec.predictor, spec.sizeLog2);
-        if (!made.ok()) {
-            result.status = made.status();
-            return result;
-        }
+        PABP_TRY(made.status());
         owned = std::move(made.value());
     }
 
     if (spec.context.contexts > 1) {
         // Multi-context cells interleave N independent instruction
-        // streams through the ONE predictor built above; they are
-        // replay-only and cannot serialise mid-run (the interleaved
-        // emulator/engine set has no checkpoint format).
-        if (spec.mode != RunMode::Timed && spec.checkpointEvery == 0 &&
-            spec.resumePath.empty())
-            return executeMultiCtx(spec, program.value(), *owned,
-                                   gshare, std::move(result));
-        result.status = Status(
-            StatusCode::InvalidArgument,
-            spec.mode == RunMode::Timed
-                ? "multi-context cells are Trace-mode only"
-                : "multi-context cells cannot checkpoint or resume");
-        return result;
+        // streams through the ONE predictor built above.
+        if (spec.mode == RunMode::Timed)
+            return Status(StatusCode::InvalidArgument,
+                          "multi-context cells are Trace-mode only");
+        return executeMultiCtx(spec, program.value(), *owned, gshare,
+                               result);
     }
 
     if (spec.mode == RunMode::Timed) {
@@ -845,166 +746,46 @@ SweepRunner::executeSpec(const RunSpec &spec)
         if (init)
             init(emu.state());
         result.pipe = pipe.run(emu, spec.maxInsts);
-        result.engine = engine.stats();
-        result.pguBits = engine.pguBitsInserted();
-        result.profile = engine.branchProfile();
-        result.status = finishCellOutputs(spec, result, &engine);
-        return result;
+        return finishEngineCell(spec, result, engine, gshare);
     }
 
-    // Trace mode, fast path (docs/PERF.md): replay the shared
-    // pre-decoded trace through the batched engine loop. Results are
-    // bit-identical to the reference loop below - the equivalence
-    // tests pin stats, profile and metrics bytes - so only cells
-    // that must serialise emulator state mid-run (checkpointing or
-    // resuming) are excluded.
-    if (spec.fastReplay && spec.checkpointEvery == 0 &&
-        spec.resumePath.empty()) {
+    // Trace mode. The fast path (docs/PERF.md) replays the shared
+    // pre-decoded trace through the batched engine loop; the
+    // reference path steps its own emulator per instruction. Results
+    // are bit-identical - the equivalence tests pin stats, profile
+    // and metrics bytes - and both continue exactly where the last
+    // slice stopped, so heartbeat slicing is unobservable.
+    PredictionEngine engine(*owned, spec.engine);
+    if (spec.fastReplay) {
         Expected<TraceHandle> decoded =
             decodedFor(spec, program.value(), spec.seed);
-        if (!decoded.ok()) {
-            result.status = decoded.status();
-            return result;
-        }
-        PredictionEngine engine(*owned, spec.engine);
-        // Heartbeat-sliced batches: processBatch is exactly
-        // resumable at any event index, so chunking is unobservable
-        // in the results and only exists to let the watchdog check
-        // its deadline between slices.
+        PABP_TRY(decoded.status());
+        PABP_TRY(deadline.check());
         const DecodedTrace &trace = *decoded.value();
-        CellDeadline deadline(spec.watchdogMillis);
-        std::uint64_t processed = 0;
-        while (processed < spec.maxInsts) {
-            const std::uint64_t chunk = deadline.slice(
-                spec.heartbeatInsts, spec.maxInsts - processed);
-            const std::uint64_t next =
-                engine.processBatch(trace, processed, chunk);
-            if (next == processed)
-                break; // trace exhausted before the budget
-            processed = next;
-            if (deadline.expired()) {
-                result.status = deadline.status(spec, processed);
-                return result;
-            }
-        }
-        result.engine = engine.stats();
-        result.pguBits = engine.pguBitsInserted();
-        result.profile = engine.branchProfile();
-        if (gshare) {
-            result.lookups = gshare->lookupCount();
-            result.conflicts = gshare->conflictCount();
-        }
-        result.status = finishCellOutputs(spec, result, &engine);
-        return result;
-    }
-
-    // Trace mode, with checkpoint/resume. Resume is attempted at
-    // most once, and the mismatch fallback is a LOOP that rebuilds
-    // only the cheap per-run state (predictor, engine, emulator) -
-    // the compiled program is reused, never recompiled.
-    const std::uint64_t fp = specFingerprint(spec);
-    const std::string ckpt_file = spec.checkpointEvery
-        ? derivedCheckpointPath(spec.checkpointPath, fp)
-        : std::string();
-    const std::string resume_file = spec.resumePath.empty()
-        ? std::string()
-        : derivedCheckpointPath(spec.resumePath, fp);
-
-    std::optional<PredictionEngine> engine;
-    std::optional<Emulator> emu;
-    std::uint64_t done = 0;
-    for (bool try_resume = !resume_file.empty();;) {
-        // (Re)build all mutable run state from scratch; a failed
-        // load may have scribbled on the previous instances.
-        engine.emplace(*owned, spec.engine);
-        emu.emplace(cp.prog);
-        if (init)
-            init(emu->state());
-        done = 0;
-        if (!try_resume)
-            break;
-        CheckpointRefs refs{&*emu, &*engine, &done};
-        Status status = loadCheckpoint(resume_file, refs);
-        if (status.ok()) {
-            result.resumed = true;
-            break;
-        }
-        if (resumeFallsBackToFresh(status)) {
-            try_resume = false;
-            result.resumeFallback = true;
-            noteResumeFallback(spec, resume_file, status);
-            // The predictor carries loaded state too; rebuild it the
-            // same way the fresh path did.
-            if (gshare) {
-                auto g = std::make_unique<GSharePredictor>(
-                    spec.sizeLog2);
-                g->enableConflictProfiling();
-                gshare = g.get();
-                owned = std::move(g);
-            } else {
-                owned = std::move(
-                    tryMakePredictor(spec.predictor, spec.sizeLog2)
-                        .value());
-            }
-            continue;
-        }
-        result.status = status; // damaged artifact: fail the cell
-        return result;
-    }
-
-    CellDeadline deadline(spec.watchdogMillis);
-    if (spec.checkpointEvery == 0) {
-        const std::uint64_t budget =
-            spec.maxInsts - std::min(done, spec.maxInsts);
-        std::uint64_t ran_total = 0;
-        while (ran_total < budget) {
-            const std::uint64_t chunk =
-                deadline.slice(spec.heartbeatInsts, budget - ran_total);
-            const std::uint64_t ran = runTrace(*emu, *engine, chunk);
-            ran_total += ran;
-            if (ran < chunk)
-                break; // workload halted before the budget
-            if (deadline.expired()) {
-                result.status = deadline.status(spec, done + ran_total);
-                return result;
-            }
-        }
+        PABP_TRY(runSliced(deadline, spec.heartbeatInsts, spec.maxInsts,
+                           [&](std::uint64_t pos, std::uint64_t chunk) {
+                               return engine.processBatch(trace, pos,
+                                                          chunk);
+                           })
+                     .status());
     } else {
-        while (done < spec.maxInsts) {
-            std::uint64_t chunk =
-                std::min(spec.checkpointEvery, spec.maxInsts - done);
-            std::uint64_t ran = runTrace(*emu, *engine, chunk);
-            done += ran;
-            CheckpointRefs refs{&*emu, &*engine, &done};
-            Status status = saveCheckpoint(ckpt_file, refs);
-            if (!status.ok()) {
-                result.status = status;
-                return result;
-            }
-            if (ran < chunk)
-                break; // workload halted before the budget
-            if (deadline.expired()) {
-                result.status = deadline.status(spec, done);
-                return result;
-            }
-        }
+        Emulator emu(cp.prog);
+        if (init)
+            init(emu.state());
+        PABP_TRY(runSliced(deadline, spec.heartbeatInsts, spec.maxInsts,
+                           [&](std::uint64_t pos, std::uint64_t chunk) {
+                               return pos + runTrace(emu, engine, chunk);
+                           })
+                     .status());
     }
-    result.engine = engine->stats();
-    result.pguBits = engine->pguBitsInserted();
-    result.profile = engine->branchProfile();
-    if (gshare) {
-        result.lookups = gshare->lookupCount();
-        result.conflicts = gshare->conflictCount();
-    }
-    result.status = finishCellOutputs(spec, result, &*engine);
-    return result;
+    return finishEngineCell(spec, result, engine, gshare);
 }
 
-RunResult
+Status
 SweepRunner::executeMultiCtx(const RunSpec &spec,
                              const ProgramHandle &program,
                              BranchPredictor &pred,
-                             GSharePredictor *gshare, RunResult result)
+                             GSharePredictor *gshare, RunResult &result)
 {
     const unsigned n = spec.context.contexts;
     MultiCtxConfig mcfg;
@@ -1028,10 +809,7 @@ SweepRunner::executeMultiCtx(const RunSpec &spec,
         for (unsigned c = 0; c < n; ++c) {
             Expected<TraceHandle> decoded =
                 decodedFor(spec, program, spec.seed + c);
-            if (!decoded.ok()) {
-                result.status = decoded.status();
-                return result;
-            }
+            PABP_TRY(decoded.status());
             handles.push_back(decoded.value());
             traces.push_back(handles.back().get());
         }
@@ -1042,10 +820,7 @@ SweepRunner::executeMultiCtx(const RunSpec &spec,
         for (unsigned c = 0; c < n; ++c) {
             Expected<Workload> wl =
                 materialiseWorkload(spec, spec.seed + c);
-            if (!wl.ok()) {
-                result.status = wl.status();
-                return result;
-            }
+            PABP_TRY(wl.status());
             owned_emus.push_back(
                 std::make_unique<Emulator>(program->prog));
             if (wl.value().init)
@@ -1070,8 +845,7 @@ SweepRunner::executeMultiCtx(const RunSpec &spec,
         result.lookups = gshare->lookupCount();
         result.conflicts = gshare->conflictCount();
     }
-    result.status = finishMultiCtxOutputs(spec, result);
-    return result;
+    return finishMultiCtxOutputs(spec, result);
 }
 
 std::vector<RunResult>

@@ -21,7 +21,7 @@
  *    side compiles each workload once.
  *
  * Failure contract: a cell that cannot run (unknown predictor or
- * workload, damaged checkpoint, leaked exception) fails THAT CELL
+ * workload, overrun watchdog, leaked exception) fails THAT CELL
  * with a typed pabp::Status in its RunResult; the rest of the grid
  * completes. Nothing in the sweep layer calls pabp_fatal.
  */
@@ -82,7 +82,7 @@ shardOf(std::uint64_t fingerprint, std::uint32_t count)
 }
 
 /** Failure classes worth a bounded retry: transient environment
- *  errors (a flaky filesystem under the metrics/checkpoint writes).
+ *  errors (a flaky filesystem under the metrics writes).
  *  Everything else - bad specs, damaged artifacts, watchdog
  *  deadlines - is deterministic and goes straight to quarantine. */
 constexpr bool
@@ -105,10 +105,9 @@ enum class RunMode : std::uint8_t
  * single-stream loops and none of the other fields matter. With
  * contexts > 1 the cell replays N independent trace contexts -
  * context c's input seed is spec.seed + c over the same compiled
- * program - through ONE shared predictor. Trace mode only, and
- * incompatible with checkpoint/resume (the cell fails with
- * InvalidArgument). All fields are behaviour-defining and fold into
- * specFingerprint() when contexts > 1.
+ * program - through ONE shared predictor. Trace mode only (a Timed
+ * cell fails with InvalidArgument). All fields are behaviour-defining
+ * and fold into specFingerprint() when contexts > 1.
  */
 struct ContextSpec
 {
@@ -164,20 +163,6 @@ struct RunSpec
     /** Multi-context interleaving; contexts == 1 = ordinary cell. */
     ContextSpec context;
 
-    /**
-     * Checkpoint/resume knobs (core/checkpoint.hh), Trace mode only.
-     * Both paths are BASE names: the artifact actually written and
-     * read is derivedCheckpointPath(base, specFingerprint(spec)) -
-     * e.g. "pabp-<fp>.ckpt" - so every cell of a sweep checkpoints
-     * to its own file and resumes from its own file. Resume is
-     * best-effort per cell: a missing file or one whose fingerprint
-     * belongs to another spec falls back to a fresh run; a damaged
-     * file fails the cell with a typed error.
-     */
-    std::uint64_t checkpointEvery = 0; ///< instructions; 0 = off
-    std::string checkpointPath = "pabp.ckpt";
-    std::string resumePath;
-
     /** Count gshare pattern-table conflicts (predictor must be
      *  "gshare"); fills RunResult::lookups/conflicts. */
     bool profileConflicts = false;
@@ -189,10 +174,8 @@ struct RunSpec
      * stepping its own emulator per instruction. Results - stats,
      * profile, exported metrics bytes - are identical either way
      * (pinned by tests/test_replay_fast.cc); only throughput
-     * changes, so like the checkpoint/metrics knobs this is NOT part
-     * of specFingerprint(). Checkpointing or resuming cells ignore
-     * it and keep the reference emulator loop: mid-run checkpoints
-     * serialise emulator state the decoded trace does not carry.
+     * changes, so like the metrics knobs this is NOT part of
+     * specFingerprint().
      */
     bool fastReplay = true;
 
@@ -203,9 +186,8 @@ struct RunSpec
      * run. The directory is created on demand; a cell that cannot
      * write its file FAILS with IoError (a sweep that silently lost
      * its measurements would be worse than one that failed loudly).
-     * Purely observational - not part of specFingerprint(), exactly
-     * like the checkpoint paths. Observe-mode cells have no engine
-     * and export nothing.
+     * Purely observational - not part of specFingerprint(). Observe
+     * cells export only the spec keys and their instruction count.
      */
     std::string metricsDir;
 
@@ -230,8 +212,8 @@ struct RunSpec
 
     /**
      * @name Robust-execution knobs (docs/ROBUSTNESS.md)
-     * Like the checkpoint/metrics knobs these are execution strategy,
-     * not behaviour, and are NOT part of specFingerprint().
+     * Like the metrics knobs these are execution strategy, not
+     * behaviour, and are NOT part of specFingerprint().
      * @{
      */
 
@@ -242,19 +224,21 @@ struct RunSpec
 
     /**
      * Per-attempt wall-clock watchdog, milliseconds; 0 = off. The
-     * engine loops heartbeat every @ref heartbeatInsts instructions
-     * and check the deadline between slices, so a cell stuck in a
-     * pathological configuration (or a hung Observe closure) is
+     * deadline starts at cell entry and is checked after each
+     * artifact phase (compile, record/decode, characterize - time
+     * spent waiting on another worker's build included) and every
+     * @ref heartbeatInsts instructions of the run, so a cell stuck
+     * in a pathological configuration (or a hung Observe closure) is
      * reaped with StatusCode::DeadlineExceeded instead of stalling
-     * its worker forever. Covers Trace and Observe cells; a Timed
-     * cell runs the cycle-level pipeline in one shot and is bounded
-     * by its instruction budget alone.
+     * its worker forever. Covers single-context Trace and Observe
+     * cells; Timed and multi-context cells run in one shot and are
+     * bounded by their instruction budget alone.
      */
     std::uint32_t watchdogMillis = 0;
     /** Instructions between watchdog checks (the heartbeat grain).
-     *  Chunking is unobservable in the results - the engine loops
-     *  are exactly resumable - so this only trades check latency
-     *  against loop overhead. */
+     *  Slicing is unobservable in the results - every cell loop
+     *  continues exactly where the previous slice stopped - so this
+     *  only trades check latency against loop overhead. */
     std::uint64_t heartbeatInsts = 1u << 16;
 
     /** Total tries for a cell whose failure is retryableStatus();
@@ -290,12 +274,6 @@ struct RunResult
     std::uint64_t conflicts = 0; ///< profileConflicts only
     std::uint64_t numRegions = 0;        ///< static regions compiled
     std::uint64_t numRegionBranches = 0; ///< static side exits
-    bool resumed = false; ///< continued from a matching checkpoint
-    /** Resume was requested but fell back to a cold start (missing or
-     *  configuration-mismatched checkpoint). Counted per runner in
-     *  SweepRunner::resumeFallbacks() and warned about - a silently
-     *  cold-started cell must be distinguishable from a fresh run. */
-    bool resumeFallback = false;
     /** Cell belongs to another shard (RunSpec::shard) and did not
      *  execute; status is Ok and every counter is zero. */
     bool skipped = false;
@@ -320,15 +298,11 @@ struct RunResult
 /**
  * 64-bit FNV-1a fingerprint over every behaviour-defining field of a
  * spec (workload id, seeds, mode, predictor, engine + compile
- * configuration, budget) - NOT over the checkpoint knobs themselves.
+ * configuration, budget) - NOT over the execution-strategy knobs.
  * Two specs that would simulate differently get different prints;
- * the same spec resumed later reproduces its print exactly.
+ * the same spec re-run later reproduces its print exactly.
  */
 std::uint64_t specFingerprint(const RunSpec &spec);
-
-/** "results/pabp.ckpt" + 0xfp -> "results/pabp-<16 hex>.ckpt". */
-std::string derivedCheckpointPath(const std::string &base,
-                                  std::uint64_t fingerprint);
 
 /** "<dir>/pabp-metrics-<16 hex fingerprint>.json" - where the cell
  *  with this fingerprint exports its metrics (RunSpec::metricsDir). */
@@ -368,31 +342,40 @@ class SweepRunner
     CacheStats cacheStats() const;
     unsigned effectiveJobs() const { return jobs; }
 
-    /** Cells that requested a resume but cold-started instead (the
-     *  "sweep.resume_fallbacks" stat; see RunResult::resumeFallback). */
-    std::uint64_t resumeFallbacks() const;
-
   private:
     using ProgramHandle = std::shared_ptr<const CompiledProgram>;
     using TraceHandle = std::shared_ptr<const DecodedTrace>;
     using ReportHandle = std::shared_ptr<const PredictabilityReport>;
+    /** A memoised artifact, type-erased so one map holds every kind;
+     *  the memo() caller knows the concrete type its key names. */
+    using Artifact = Expected<std::shared_ptr<const void>>;
 
-    RunResult executeSpec(const RunSpec &spec);
+    /** Run one cell, filling @p result; the return is its status. */
+    Status executeSpec(const RunSpec &spec, RunResult &result);
     /** One try: fault hook, then executeSpec under the exception
      *  backstop. */
     RunResult executeSpecAttempt(const RunSpec &spec, unsigned attempt);
     /** Shard filter + bounded retry loop around executeSpecAttempt. */
     RunResult executeSpecGuarded(const RunSpec &spec);
-    void noteResumeFallback(const RunSpec &spec,
-                            const std::string &resume_file,
-                            const Status &status);
+    /**
+     * The artifact memo behind compiledFor/decodedFor/characterizedFor:
+     * the first requester of @p key runs @p build, everyone else
+     * blocks on the shared future and receives the same immutable
+     * artifact - or the builder's typed error. @p builds / @p hits
+     * (either may be null) count the two outcomes in CacheStats.
+     * Defined in sweep.cc, its only user.
+     */
+    template <typename T, typename Build>
+    Expected<std::shared_ptr<const T>> memo(const std::string &key,
+                                            std::uint64_t *builds,
+                                            std::uint64_t *hits,
+                                            Build &&build);
     Expected<ProgramHandle> compiledFor(const RunSpec &spec);
-    /** The decoded-trace analogue of compiledFor(): the first
-     *  requester of a (program, measurement seed, budget) key records
-     *  and decodes the trace, everyone else blocks on the shared
-     *  future and replays the same immutable lanes. @p seed is the
-     *  measurement seed to record with - spec.seed for ordinary
-     *  cells, spec.seed + c for context c of a multi-context cell. */
+    /** The decoded trace of a (program, measurement seed, budget)
+     *  key, recorded once and replayed by every cell of the key.
+     *  @p seed is the measurement seed to record with - spec.seed for
+     *  ordinary cells, spec.seed + c for context c of a multi-context
+     *  cell. */
     Expected<TraceHandle> decodedFor(const RunSpec &spec,
                                      const ProgramHandle &program,
                                      std::uint64_t seed);
@@ -405,21 +388,17 @@ class SweepRunner
      *  builds the per-context traces or emulators, drives the
      *  MultiContextReplayer, and fills the per-context and aggregate
      *  results. @p result arrives with the compile counters set. */
-    RunResult executeMultiCtx(const RunSpec &spec,
-                              const ProgramHandle &program,
-                              BranchPredictor &pred,
-                              GSharePredictor *gshare,
-                              RunResult result);
+    Status executeMultiCtx(const RunSpec &spec,
+                           const ProgramHandle &program,
+                           BranchPredictor &pred,
+                           GSharePredictor *gshare, RunResult &result);
 
     unsigned jobs;
     std::size_t queueCapacity;
 
     mutable std::mutex cacheMtx;
-    std::map<std::string, std::shared_future<ProgramHandle>> cache;
-    std::map<std::string, std::shared_future<TraceHandle>> traceCache;
-    std::map<std::string, std::shared_future<ReportHandle>> predCache;
+    std::map<std::string, std::shared_future<Artifact>> artifacts;
     CacheStats stats;
-    std::uint64_t resumeFallbackCount = 0;
 };
 
 /**

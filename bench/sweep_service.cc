@@ -29,7 +29,6 @@ recordForCell(const RunSpec &spec, const RunResult &result)
         rec.columns[ColMispredicts] = result.engine.all.mispredicts;
         rec.columns[ColSquashed] = result.engine.all.squashed;
         rec.columns[ColPguBits] = result.pguBits;
-        rec.columns[ColResumeFallback] = result.resumeFallback ? 1 : 0;
         rec.blob = result.metricsJson;
     } else {
         rec.kind = JournalRecord::Kind::Quarantine;
@@ -112,7 +111,6 @@ SweepService::runShard(std::vector<RunSpec> grid)
             pending.push_back(owned[pos]);
     }
 
-    const std::uint64_t fallbacksBefore = runner.resumeFallbacks();
     const std::size_t batch = config.batchCells
         ? config.batchCells
         : std::max<std::size_t>(1, 4 * runner.effectiveJobs());
@@ -155,7 +153,6 @@ SweepService::runShard(std::vector<RunSpec> grid)
         }
     }
 
-    report.resumeFallbacks = runner.resumeFallbacks() - fallbacksBefore;
     writer.value().close();
     if (report.stopped)
         return report; // simulated kill: no drain, no compaction

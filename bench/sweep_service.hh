@@ -43,8 +43,10 @@ namespace pabp::bench {
 /**
  * Column order of sweep journal records (JournalRecord::columns).
  * The journal layer stores an opaque u64 vector; this enum is the
- * sweep-side contract for what each slot means. Append-only: new
- * columns go at the end so old journals stay readable.
+ * sweep-side contract for what each slot means. Slots never move:
+ * new columns go at the end, and a retired column may only drop off
+ * the end. Every record carries its own column count, so journals
+ * written with more or fewer columns stay readable.
  */
 enum SweepColumn : std::size_t
 {
@@ -53,7 +55,6 @@ enum SweepColumn : std::size_t
     ColMispredicts,     ///< EngineStats::all.mispredicts
     ColSquashed,        ///< EngineStats::all.squashed
     ColPguBits,         ///< RunResult::pguBits
-    ColResumeFallback,  ///< 1 = cell cold-started despite --resume
     NumSweepColumns,
 };
 
@@ -107,7 +108,6 @@ struct ServiceReport
     std::uint64_t executed = 0;        ///< cells run this invocation
     std::uint64_t retried = 0;         ///< cells that needed >1 attempt
     std::uint64_t quarantined = 0;     ///< Quarantine records at drain
-    std::uint64_t resumeFallbacks = 0; ///< sweep.resume_fallbacks delta
     std::uint64_t committed = 0;       ///< records appended this run
     bool salvagedTail = false;         ///< journal tail was truncated
     bool stopped = false;              ///< ServiceConfig::stopAfter hit

@@ -15,7 +15,6 @@
 #include <string>
 
 #include "bpred/factory.hh"
-#include "core/checkpoint.hh"
 #include "core/engine.hh"
 #include "sim/trace_io.hh"
 #include "util/logging.hh"
@@ -71,33 +70,7 @@ doReplay(const Options &opts)
     ecfg.usePgu = opts.flag("pgu");
     PredictionEngine engine(*pred, ecfg);
 
-    // Optional checkpoint/resume around the replay loop. The replay
-    // cursor travels inside the checkpoint, so a resumed run picks up
-    // exactly where the saved one stopped.
-    std::uint64_t pos = 0;
-    std::string ckpt_path = opts.str("checkpoint-file");
-    auto every =
-        static_cast<std::uint64_t>(opts.integer("checkpoint-every"));
-    if (!opts.str("resume").empty()) {
-        CheckpointRefs refs{nullptr, &engine, &pos};
-        Status status = loadCheckpoint(opts.str("resume"), refs);
-        if (!status.ok())
-            pabp_fatal(status.toString());
-        std::printf("resumed at event %llu from %s\n",
-                    static_cast<unsigned long long>(pos),
-                    opts.str("resume").c_str());
-    }
-    if (every == 0) {
-        replayTraceFrom(trace, engine, pos, trace.size());
-    } else {
-        while (pos < trace.size()) {
-            pos = replayTraceFrom(trace, engine, pos, every);
-            CheckpointRefs refs{nullptr, &engine, &pos};
-            Status status = saveCheckpoint(ckpt_path, refs);
-            if (!status.ok())
-                pabp_fatal(status.toString());
-        }
-    }
+    replayTrace(trace, engine, trace.size());
 
     const EngineStats &s = engine.stats();
     std::printf("replayed %llu insts on %s (sfpf=%d pgu=%d)\n",
@@ -164,11 +137,6 @@ main(int argc, char **argv)
     opts.declare("pgu", "0", "arm predicate global update on replay");
     opts.declare("salvage", "0",
                  "recover the valid prefix of a damaged trace");
-    opts.declare("checkpoint-every", "0",
-                 "checkpoint the replay every N events (0 = off)");
-    opts.declare("checkpoint-file", "pabp.ckpt",
-                 "checkpoint path for --checkpoint-every");
-    opts.declare("resume", "", "resume replay from a checkpoint file");
     if (!opts.parse(argc, argv))
         return 0;
 

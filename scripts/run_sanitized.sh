@@ -3,7 +3,7 @@
 # UndefinedBehaviorSanitizer (the PABP_SANITIZE CMake option), in a
 # separate build tree so the regular build stays untouched. The
 # fault-injection tests are the main beneficiary: they walk every
-# degraded path in the trace/checkpoint readers, where an
+# degraded path in the trace/journal readers, where an
 # out-of-bounds read on corrupt input would otherwise hide.
 #
 # A second stage rebuilds under ThreadSanitizer (PABP_TSAN) and runs

@@ -89,20 +89,4 @@ AgreePredictor::saveState(StateSink &sink) const
     sink.writeU64(ghr);
 }
 
-Status
-AgreePredictor::loadState(StateSource &src)
-{
-    PABP_TRY(src.readCounters(agreeTable));
-    std::uint64_t count = 0;
-    PABP_TRY(src.readPod(count));
-    if (count != biasTable.size())
-        return Status(StatusCode::InvalidArgument,
-                      "bias table size mismatch");
-    for (Bias &b : biasTable) {
-        PABP_TRY(src.readBool(b.valid));
-        PABP_TRY(src.readBool(b.bias));
-    }
-    return src.readPod(ghr);
-}
-
 } // namespace pabp

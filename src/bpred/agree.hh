@@ -36,7 +36,6 @@ class AgreePredictor : public BranchPredictor
     std::string name() const override;
     std::size_t storageBits() const override;
     void saveState(StateSink &sink) const override;
-    Status loadState(StateSource &src) override;
 
   private:
     std::vector<SatCounter> agreeTable;

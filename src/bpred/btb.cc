@@ -74,54 +74,6 @@ Btb::registerStats(StatGroup &group, const std::string &prefix)
     group.onReset([this] { resetStats(); });
 }
 
-void
-Btb::saveState(StateSink &sink) const
-{
-    sink.writeU32(setsLog2);
-    sink.writeU32(numWays);
-    sink.writeU64(entries.size());
-    for (const Entry &e : entries) {
-        sink.writeBool(e.valid);
-        sink.writeU32(e.tag);
-        sink.writeU32(e.target);
-        sink.writeU64(e.lastUse);
-    }
-    sink.writeU64(useClock);
-    sink.writeU64(hitCount);
-    sink.writeU64(missCount);
-}
-
-Status
-Btb::loadState(StateSource &src)
-{
-    std::uint32_t storedSets = 0, storedWays = 0;
-    PABP_TRY(src.readPod(storedSets));
-    PABP_TRY(src.readPod(storedWays));
-    if (storedSets != setsLog2 || storedWays != numWays)
-        return Status(StatusCode::InvalidArgument,
-                      "btb geometry " + std::to_string(storedSets) + "x" +
-                          std::to_string(storedWays) +
-                          " != configured " + std::to_string(setsLog2) +
-                          "x" + std::to_string(numWays));
-    std::uint64_t n = 0;
-    PABP_TRY(src.readPod(n));
-    if (n != entries.size())
-        return Status(StatusCode::InvalidArgument,
-                      "btb entry count " + std::to_string(n) +
-                          " != configured " +
-                          std::to_string(entries.size()));
-    for (Entry &e : entries) {
-        PABP_TRY(src.readBool(e.valid));
-        PABP_TRY(src.readPod(e.tag));
-        PABP_TRY(src.readPod(e.target));
-        PABP_TRY(src.readPod(e.lastUse));
-    }
-    PABP_TRY(src.readPod(useClock));
-    PABP_TRY(src.readPod(hitCount));
-    PABP_TRY(src.readPod(missCount));
-    return Status();
-}
-
 ReturnAddressStack::ReturnAddressStack(unsigned depth) : stack(depth, 0)
 {
     pabp_assert(depth >= 1);
@@ -173,42 +125,6 @@ ReturnAddressStack::registerStats(StatGroup &group,
     group.gauge(prefix + "overflows", [this] { return overflowCount; });
     group.gauge(prefix + "underflows", [this] { return underflowCount; });
     group.onReset([this] { resetStats(); });
-}
-
-void
-ReturnAddressStack::saveState(StateSink &sink) const
-{
-    sink.writeU32(static_cast<std::uint32_t>(stack.size()));
-    sink.writePodVector(stack);
-    sink.writeU32(top);
-    sink.writeU32(count);
-    sink.writeU64(pushCount);
-    sink.writeU64(popCount);
-    sink.writeU64(overflowCount);
-    sink.writeU64(underflowCount);
-}
-
-Status
-ReturnAddressStack::loadState(StateSource &src)
-{
-    std::uint32_t depth = 0;
-    PABP_TRY(src.readPod(depth));
-    if (depth != stack.size())
-        return Status(StatusCode::InvalidArgument,
-                      "ras depth " + std::to_string(depth) +
-                          " != configured " +
-                          std::to_string(stack.size()));
-    PABP_TRY(src.readPodVector(stack, stack.size()));
-    PABP_TRY(src.readPod(top));
-    PABP_TRY(src.readPod(count));
-    if (top >= stack.size() || count > stack.size())
-        return Status(StatusCode::Corrupt,
-                      "ras cursor out of range");
-    PABP_TRY(src.readPod(pushCount));
-    PABP_TRY(src.readPod(popCount));
-    PABP_TRY(src.readPod(overflowCount));
-    PABP_TRY(src.readPod(underflowCount));
-    return Status();
 }
 
 } // namespace pabp

@@ -23,9 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "util/serialize.hh"
 #include "util/stats.hh"
-#include "util/status.hh"
 
 namespace pabp {
 
@@ -61,17 +59,6 @@ class Btb
 
     /** Gauges under "<prefix>hits" / "<prefix>misses". */
     void registerStats(StatGroup &group, const std::string &prefix);
-
-    /**
-     * @name Checkpointing
-     * Entries are serialised field by field (never as raw structs -
-     * padding bytes would make the checkpoint CRC unstable), geometry
-     * is verified on load.
-     * @{
-     */
-    void saveState(StateSink &sink) const;
-    Status loadState(StateSource &src);
-    /** @} */
 
   private:
     struct Entry
@@ -126,9 +113,6 @@ class ReturnAddressStack
     /** Gauges under "<prefix>pushes" / "pops" / "overflows" /
      *  "underflows". */
     void registerStats(StatGroup &group, const std::string &prefix);
-
-    void saveState(StateSink &sink) const;
-    Status loadState(StateSource &src);
 
   private:
     std::vector<std::uint32_t> stack;

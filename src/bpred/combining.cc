@@ -80,12 +80,4 @@ CombiningPredictor::saveState(StateSink &sink) const
     secondPred->saveState(sink);
 }
 
-Status
-CombiningPredictor::loadState(StateSource &src)
-{
-    PABP_TRY(src.readCounters(chooser));
-    PABP_TRY(firstPred->loadState(src));
-    return secondPred->loadState(src);
-}
-
 } // namespace pabp

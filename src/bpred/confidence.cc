@@ -58,21 +58,4 @@ ConfidenceEstimator::storageBits() const
     return table.size() * bits;
 }
 
-
-void
-ConfidenceEstimator::saveState(StateSink &sink) const
-{
-    sink.writePodVector(table);
-    sink.writeU64(updateCount);
-    sink.writeU64(resetCount);
-}
-
-Status
-ConfidenceEstimator::loadState(StateSource &src)
-{
-    PABP_TRY(src.readPodVector(table, table.size()));
-    PABP_TRY(src.readPod(updateCount));
-    return src.readPod(resetCount);
-}
-
 } // namespace pabp

@@ -15,9 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "util/serialize.hh"
 #include "util/stats.hh"
-#include "util/status.hh"
 
 namespace pabp {
 
@@ -46,17 +44,13 @@ class ConfidenceEstimator
 
     /** @name Observability
      * updates() counts every training event, lowResets() the subset
-     * that reset a counter to zero (an incorrect prediction). Both
-     * are checkpointed so resumed runs report identical counts.
+     * that reset a counter to zero (an incorrect prediction).
      * @{ */
     std::uint64_t updates() const { return updateCount; }
     std::uint64_t lowResets() const { return resetCount; }
     void registerStats(StatGroup &group, const std::string &prefix);
     void resetStats() { updateCount = 0; resetCount = 0; }
     /** @} */
-
-    void saveState(StateSink &sink) const;
-    Status loadState(StateSource &src);
 
   private:
     std::vector<std::uint8_t> table;

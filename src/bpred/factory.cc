@@ -24,7 +24,9 @@ namespace {
  * *floor or cap* kicking in, where the predictor built is smaller
  * than the derivation promises - a sweep label saying "2^12" while
  * the predictor holds 2^1 rows is exactly the sort of thing that
- * corrupts a paper's size axis unnoticed.
+ * corrupts a paper's size axis unnoticed. Said once per process:
+ * every cell of a sweep builds its own predictor, and ten identical
+ * lines carry no more information than one.
  */
 void
 logClampedSize(const std::string &kind, const char *what,
@@ -32,7 +34,7 @@ logClampedSize(const std::string &kind, const char *what,
 {
     if (static_cast<int>(effective) == nominal)
         return;
-    pabp_warn(kind + ": nominal " + what + " " +
+    pabp_warn_once(kind + ": nominal " + what + " " +
               std::to_string(nominal) + " clamped to " +
               std::to_string(effective));
 }

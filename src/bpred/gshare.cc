@@ -148,11 +148,8 @@ GSharePredictor::saveState(StateSink &sink) const
     sink.writeCounters(table);
     sink.writeU64(ghr);
     // Conflict-profiling state (bench E16) is diagnostic, not
-    // architectural, but it IS checkpointed: a resumed profiling run
-    // must report the same lookup/conflict counts as an
-    // uninterrupted one. (It used to be skipped, which silently
-    // zeroed the counters - and the last-touched-PC table - across
-    // every resume.)
+    // architectural, but it is part of the state: two profiling
+    // predictors are only equal if their counters agree too.
     sink.writeBool(profiling);
     if (profiling) {
         sink.writeU64(lookups);
@@ -162,38 +159,11 @@ GSharePredictor::saveState(StateSink &sink) const
     }
 }
 
-Status
-GSharePredictor::loadState(StateSource &src)
-{
-    PABP_TRY(src.readCounters(table));
-    PABP_TRY(src.readPod(ghr));
-    bool stored_profiling = false;
-    PABP_TRY(src.readBool(stored_profiling));
-    if (stored_profiling != profiling)
-        return Status(StatusCode::InvalidArgument,
-                      "checkpoint conflict-profiling mode does not "
-                      "match the configured predictor");
-    if (profiling) {
-        PABP_TRY(src.readPod(lookups));
-        PABP_TRY(src.readPod(conflicts));
-        PABP_TRY(src.readPodVector(lastPc, table.size()));
-        PABP_TRY(src.readBoolVector(lastPcValid, table.size()));
-    }
-    return Status();
-}
-
 void
 GAgPredictor::saveState(StateSink &sink) const
 {
     sink.writeCounters(table);
     sink.writeU64(ghr);
-}
-
-Status
-GAgPredictor::loadState(StateSource &src)
-{
-    PABP_TRY(src.readCounters(table));
-    return src.readPod(ghr);
 }
 
 } // namespace pabp

@@ -67,7 +67,6 @@ class GSharePredictor : public BranchPredictor
     std::string name() const override;
     std::size_t storageBits() const override;
     void saveState(StateSink &sink) const override;
-    Status loadState(StateSource &src) override;
 
     std::uint64_t history() const { return ghr; }
     unsigned historyBits() const { return histBits; }
@@ -139,7 +138,6 @@ class GAgPredictor : public BranchPredictor
     std::string name() const override;
     std::size_t storageBits() const override;
     void saveState(StateSink &sink) const override;
-    Status loadState(StateSource &src) override;
 
   private:
     std::vector<SatCounter> table;

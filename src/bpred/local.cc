@@ -68,11 +68,4 @@ LocalPredictor::saveState(StateSink &sink) const
     sink.writeCounters(pht);
 }
 
-Status
-LocalPredictor::loadState(StateSource &src)
-{
-    PABP_TRY(src.readPodVector(bht, bht.size()));
-    return src.readCounters(pht);
-}
-
 } // namespace pabp

@@ -33,7 +33,6 @@ class LocalPredictor : public BranchPredictor
     std::string name() const override;
     std::size_t storageBits() const override;
     void saveState(StateSink &sink) const override;
-    Status loadState(StateSource &src) override;
 
   private:
     std::vector<std::uint32_t> bht;

@@ -107,11 +107,4 @@ PerceptronPredictor::saveState(StateSink &sink) const
     sink.writeU64(ghr);
 }
 
-Status
-PerceptronPredictor::loadState(StateSource &src)
-{
-    PABP_TRY(src.readPodVector(weights, weights.size()));
-    return src.readPod(ghr);
-}
-
 } // namespace pabp

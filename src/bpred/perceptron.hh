@@ -65,7 +65,6 @@ class PerceptronPredictor : public BranchPredictor
     std::string name() const override;
     std::size_t storageBits() const override;
     void saveState(StateSink &sink) const override;
-    Status loadState(StateSource &src) override;
 
     std::uint64_t history() const { return ghr; }
 

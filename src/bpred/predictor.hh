@@ -140,24 +140,13 @@ class BranchPredictor
     virtual void reset() = 0;
 
     /**
-     * @name Checkpointing
-     * Serialise/restore the predictor's dynamic state (counters,
-     * histories, tags) - configuration is not stored; a checkpoint
-     * only restores into an identically-configured predictor, which
-     * loadState() verifies via table geometry. The default pair is
-     * for stateless predictors. Transient predict()-to-update()
-     * latches need no saving: checkpoints are only taken between
-     * whole process() steps. See docs/ROBUSTNESS.md.
-     * @{
+     * Serialise the predictor's dynamic state (counters, histories,
+     * tags) - configuration is not stored. Tests compare two
+     * predictors' state through these bytes, the strongest equality
+     * available; the default is for stateless predictors. Transient
+     * predict()-to-update() latches are not part of the state.
      */
     virtual void saveState(StateSink &sink) const { (void)sink; }
-    virtual Status
-    loadState(StateSource &src)
-    {
-        (void)src;
-        return Status();
-    }
-    /** @} */
 
     /** Human-readable name, e.g. "gshare-4K". */
     virtual std::string name() const = 0;

@@ -50,10 +50,4 @@ BimodalPredictor::saveState(StateSink &sink) const
     sink.writeCounters(table);
 }
 
-Status
-BimodalPredictor::loadState(StateSource &src)
-{
-    return src.readCounters(table);
-}
-
 } // namespace pabp

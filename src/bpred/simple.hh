@@ -51,7 +51,6 @@ class BimodalPredictor : public BranchPredictor
     std::string name() const override;
     std::size_t storageBits() const override;
     void saveState(StateSink &sink) const override;
-    Status loadState(StateSource &src) override;
 
   private:
     std::vector<SatCounter> table;

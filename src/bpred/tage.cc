@@ -380,9 +380,8 @@ TagePredictor::saveState(StateSink &sink) const
     sink.writeU32(lfsr);
     sink.writeU32(tick);
     sink.writeBool(tickFlip);
-    // Diagnostics are exported as gauges, so a resumed run must
-    // report the same counts as an uninterrupted one (the gshare
-    // conflict-profiler precedent).
+    // Diagnostics are exported as gauges, so they are state too (the
+    // gshare conflict-profiler precedent).
     sink.writeU64(providerHits);
     sink.writeU64(altOverrides);
     sink.writeU64(allocations);
@@ -390,53 +389,6 @@ TagePredictor::saveState(StateSink &sink) const
     sink.writeU64(uResets);
     sink.writeU64(scOverrides);
     sink.writeU64(scOverrideCorrect);
-}
-
-Status
-TagePredictor::loadState(StateSource &src)
-{
-    PABP_TRY(src.readCounters(base));
-    for (auto &table : tables) {
-        std::uint64_t count = 0;
-        PABP_TRY(src.readPod(count));
-        if (count != table.size())
-            return Status(StatusCode::InvalidArgument,
-                          "tagged table size mismatch");
-        for (TaggedEntry &e : table) {
-            PABP_TRY(src.readPod(e.tag));
-            std::uint8_t raw = 0;
-            PABP_TRY(src.readPod(raw));
-            e.ctr.setRaw(raw);
-            PABP_TRY(src.readPod(raw));
-            e.u.setRaw(raw);
-        }
-    }
-    PABP_TRY(src.readCounters(scTable));
-    PABP_TRY(src.readPodVector(hist, hist.size()));
-    PABP_TRY(src.readPod(histPtr));
-    if (histPtr >= hist.size())
-        return Status(StatusCode::Corrupt,
-                      "history pointer out of range");
-    for (auto *folds : {&foldedIdx, &foldedTag0, &foldedTag1})
-        for (FoldedHistory &f : *folds) {
-            PABP_TRY(src.readPod(f.comp));
-            if (f.comp >> f.compLength)
-                return Status(StatusCode::Corrupt,
-                              "folded history exceeds its width");
-        }
-    std::uint8_t alt = 0;
-    PABP_TRY(src.readPod(alt));
-    useAltOnNa.setRaw(alt);
-    PABP_TRY(src.readPod(lfsr));
-    PABP_TRY(src.readPod(tick));
-    PABP_TRY(src.readBool(tickFlip));
-    PABP_TRY(src.readPod(providerHits));
-    PABP_TRY(src.readPod(altOverrides));
-    PABP_TRY(src.readPod(allocations));
-    PABP_TRY(src.readPod(allocFailures));
-    PABP_TRY(src.readPod(uResets));
-    PABP_TRY(src.readPod(scOverrides));
-    return src.readPod(scOverrideCorrect);
 }
 
 void

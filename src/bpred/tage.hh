@@ -90,7 +90,6 @@ class TagePredictor : public BranchPredictor
     std::string name() const override;
     std::size_t storageBits() const override;
     void saveState(StateSink &sink) const override;
-    Status loadState(StateSource &src) override;
 
     void registerStats(StatGroup &group,
                        const std::string &prefix) override;
@@ -151,8 +150,7 @@ class TagePredictor : public BranchPredictor
     /** Non-virtual core of injectHistoryBit()/update()'s history
      *  shift: push one bit into the raw buffer and every fold. */
     void shiftHistory(bool bit);
-    /** Galois LFSR step for allocation-skipping randomness;
-     *  checkpointed so resumed runs allocate identically. */
+    /** Galois LFSR step for allocation-skipping randomness. */
     std::uint32_t lfsrNext();
     std::size_t tableIndex(std::uint32_t pc, unsigned t) const;
     std::uint16_t tableTag(std::uint32_t pc, unsigned t) const;
@@ -180,8 +178,8 @@ class TagePredictor : public BranchPredictor
     std::uint32_t tick = 0;
     bool tickFlip = false; ///< alternate u MSB/LSB clearing
 
-    // predict()-to-update() latches (transient; not checkpointed -
-    // checkpoints are only taken between whole process() steps).
+    // predict()-to-update() latches (transient; not part of the
+    // saveState() bytes).
     std::vector<std::size_t> idxLatch;
     std::vector<std::uint16_t> tagLatch;
     int providerLatch = -1; ///< -1: base table provided
@@ -194,8 +192,7 @@ class TagePredictor : public BranchPredictor
     bool scOverrideLatch = false;
     bool finalPredLatch = false;
 
-    // Diagnostics (registerStats gauges). Checkpointed: a resumed
-    // run must export the same counts as an uninterrupted one.
+    // Diagnostics (registerStats gauges).
     std::uint64_t providerHits = 0;
     std::uint64_t altOverrides = 0;
     std::uint64_t allocations = 0;

@@ -114,25 +114,4 @@ YagsPredictor::saveState(StateSink &sink) const
     sink.writeU64(ghr);
 }
 
-Status
-YagsPredictor::loadState(StateSource &src)
-{
-    PABP_TRY(src.readCounters(choice));
-    for (auto *cache : {&takenCache, &notTakenCache}) {
-        std::uint64_t count = 0;
-        PABP_TRY(src.readPod(count));
-        if (count != cache->size())
-            return Status(StatusCode::InvalidArgument,
-                          "direction cache size mismatch");
-        for (CacheEntry &entry : *cache) {
-            PABP_TRY(src.readBool(entry.valid));
-            PABP_TRY(src.readPod(entry.tag));
-            std::uint8_t raw = 0;
-            PABP_TRY(src.readPod(raw));
-            entry.counter.setRaw(raw);
-        }
-    }
-    return src.readPod(ghr);
-}
-
 } // namespace pabp

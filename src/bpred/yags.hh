@@ -40,7 +40,6 @@ class YagsPredictor : public BranchPredictor
     std::string name() const override;
     std::size_t storageBits() const override;
     void saveState(StateSink &sink) const override;
-    Status loadState(StateSource &src) override;
 
   private:
     struct CacheEntry

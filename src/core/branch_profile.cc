@@ -78,52 +78,6 @@ BranchProfile::reset()
     evictedCount = 0;
 }
 
-void
-BranchProfile::saveState(StateSink &sink) const
-{
-    sink.writeU64(table.size());
-    for (const auto &[pc, counters] : table) {
-        sink.writeU32(pc);
-        forEachCounter(counters, [&](const std::uint64_t &v) {
-            sink.writeU64(v);
-        });
-    }
-    forEachCounter(evicted,
-                   [&](const std::uint64_t &v) { sink.writeU64(v); });
-    sink.writeU64(evictedCount);
-}
-
-Status
-BranchProfile::loadState(StateSource &src)
-{
-    std::uint64_t count = 0;
-    PABP_TRY(src.readPod(count));
-    if (cap != 0 && count > cap)
-        return Status(StatusCode::InvalidArgument,
-                      "branch profile stored " + std::to_string(count) +
-                          " entries > capacity " + std::to_string(cap));
-    table.clear();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint32_t pc = 0;
-        PABP_TRY(src.readPod(pc));
-        Counters counters;
-        Status status = Status();
-        forEachCounter(counters, [&](std::uint64_t &v) {
-            if (status.ok())
-                status = src.readPod(v);
-        });
-        PABP_TRY(std::move(status));
-        table.emplace(pc, counters);
-    }
-    Status status = Status();
-    forEachCounter(evicted, [&](std::uint64_t &v) {
-        if (status.ok())
-            status = src.readPod(v);
-    });
-    PABP_TRY(std::move(status));
-    return src.readPod(evictedCount);
-}
-
 std::vector<std::string>
 BranchProfile::tableColumns()
 {

@@ -27,8 +27,6 @@
 #include <vector>
 
 #include "util/metrics.hh"
-#include "util/serialize.hh"
-#include "util/status.hh"
 
 namespace pabp {
 
@@ -95,14 +93,6 @@ class BranchProfile
     void reset();
 
     bool operator==(const BranchProfile &) const = default;
-
-    /** @name Checkpointing
-     * The whole table plus the remainder, so a resumed run's
-     * exported attribution is identical to an uninterrupted one.
-     * @{ */
-    void saveState(StateSink &sink) const;
-    Status loadState(StateSource &src);
-    /** @} */
 
     /**
      * Export into @p ex: a "branches" table (one row per tracked PC,

@@ -25,8 +25,6 @@
 #include "sim/replay_schedule.hh"
 #include "util/logging.hh"
 #include "util/ring_queue.hh"
-#include "util/serialize.hh"
-#include "util/status.hh"
 
 namespace pabp {
 
@@ -100,9 +98,6 @@ class DelayedPredicateFile
 
     unsigned delay() const { return visDelay; }
     void reset();
-
-    void saveState(StateSink &sink) const;
-    Status loadState(StateSource &src);
 
     /** One in-flight define (the POD lives in sim/replay_schedule.hh
      *  so replay schedules can snapshot queue contents; the queue
@@ -189,9 +184,8 @@ class DelayedPredicateFile
  * operations with no queue traffic at all.
  *
  * commit() restores the file to byte-for-byte the state the reference
- * sequence of write()/advanceTo() calls would have produced (the FIFO
- * is checkpoint-serialised, so "unobservable" must include checkpoint
- * bytes): advanceTo(endSeq) retires the pre-batch entries natively;
+ * sequence of write()/advanceTo() calls would have produced:
+ * advanceTo(endSeq) retires the pre-batch entries natively;
  * retired batch writes collapse to their final visible[] values (their
  * push/retire pair nets zero in-flight); and still-in-flight batch
  * writes replay into the FIFO in order. Pre-batch leftovers all

@@ -424,8 +424,8 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     // decoded trace's construction.
     //
     // Three deliberate restructurings, each invisible to every
-    // observer (stats, profile, exported metrics, checkpoint bytes -
-    // all pinned by tests/test_replay_fast.cc):
+    // observer (stats, profile, exported metrics - all pinned by
+    // tests/test_replay_fast.cc):
     //
     //  1. Deferral, as before: the reference path advances the
     //     predicate file and drains the PGU on EVERY instruction, but
@@ -441,7 +441,7 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     //     (BatchPredicateView, PguBatchView) instead of the
     //     FIFO-backed components, eliminating the queue push/pop per
     //     define. commit() restores the components to byte-identical
-    //     state, including the checkpoint-serialised queues.
+    //     state, including the queues.
     //
     //  3. Class scanning: events the configuration only counts
     //     (Other always; UncondControl always; PredDefine when no
@@ -455,9 +455,8 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     const std::uint64_t end = first + count;
     const std::uint64_t endSeq = end - 1;
 
-    // Rebuilt per batch: a profile reset/restore between batches (a
-    // reused engine, a checkpoint load) would otherwise leave stale
-    // row pointers. Refilling costs one map walk per distinct pc.
+    // Rebuilt per batch: a profile reset between batches (a reused
+    // engine) would otherwise leave stale row pointers. Refilling costs one map walk per distinct pc.
     profCache.assign(trace.prog.insts.size(), nullptr);
 
     constexpr bool definesInteresting = UseSfpf || UsePgu;
@@ -703,8 +702,7 @@ PredictionEngine::batchLoop(Pred &bp, const DecodedTrace &trace,
     // Sync the deferred state to where the reference loop leaves it
     // after its last per-instruction advance/drain, then fold the
     // batch state back into the components, so end-of-run observers
-    // (metric gauges, a checkpoint taken after the batch) see
-    // identical bytes. A capture records the stream and exit state
+    // (metric gauges, the next batch) see identical bytes. A capture records the stream and exit state
     // just before they fold away.
     if constexpr (UsePgu) {
         if (sched) {
@@ -901,158 +899,6 @@ PredictionEngine::resetStats()
     shiftsSincePguBit = pguInfluenceWindow;
 }
 
-namespace {
-
-/** The fields of EngineStats, serialised in one fixed order. */
-template <typename StatsT, typename Fn>
-void
-forEachStatsField(StatsT &stats, Fn &&fn)
-{
-    fn(stats.insts);
-    fn(stats.uncondBranches);
-    fn(stats.predicateDefines);
-    for (auto *cls : {&stats.all, &stats.region, &stats.normal}) {
-        fn(cls->branches);
-        fn(cls->taken);
-        fn(cls->mispredicts);
-        fn(cls->squashed);
-        fn(cls->falseGuard);
-    }
-    fn(stats.specSquashed);
-    fn(stats.specSquashedWrong);
-    // Appended at the end (checkpoint layout is append-only within a
-    // version; the container version gates the whole file anyway).
-    fn(stats.btbTargetMisses);
-    fn(stats.rasHits);
-    fn(stats.rasMisses);
-}
-
-} // anonymous namespace
-
-void
-PredictionEngine::saveState(StateSink &sink) const
-{
-    // Configuration fingerprint: a checkpoint must only restore into
-    // an engine armed the same way, or the resumed run would diverge
-    // silently from the original.
-    sink.writeBool(cfg.useSfpf);
-    sink.writeBool(cfg.usePgu);
-    sink.writeU32(cfg.availDelay);
-    sink.writeBool(cfg.trainOnSquashed);
-    sink.writeBool(cfg.conservativeDefTracking);
-    sink.writeBool(cfg.useSpeculativeSquash);
-    sink.writeU32(cfg.pvpEntriesLog2);
-    sink.writeU8(static_cast<std::uint8_t>(cfg.specGate));
-    sink.writeU32(cfg.jrsEntriesLog2);
-    sink.writeU8(static_cast<std::uint8_t>(cfg.pgu.source));
-    sink.writeU8(static_cast<std::uint8_t>(cfg.pgu.value));
-    sink.writeBool(cfg.pgu.includePSet);
-    sink.writeU32(cfg.pgu.delay);
-    sink.writeU32(cfg.branchProfileCapacity);
-    sink.writeBool(cfg.modelTargets);
-    sink.writeU32(cfg.btbSetsLog2);
-    sink.writeU32(cfg.btbWays);
-    sink.writeU32(cfg.rasDepth);
-
-    forEachStatsField(engineStats,
-                      [&](const std::uint64_t &v) { sink.writeU64(v); });
-    sink.writeU64(shiftsSincePguBit);
-
-    predFile.saveState(sink);
-    sfpf.saveState(sink);
-    pgu.saveState(sink);
-    pvp.saveState(sink);
-    jrs.saveState(sink);
-    profile.saveState(sink);
-
-    sink.writeString(pred.name());
-    pred.saveState(sink);
-
-    if (cfg.modelTargets) {
-        btbPtr->saveState(sink);
-        rasPtr->saveState(sink);
-    }
-}
-
-Status
-PredictionEngine::loadState(StateSource &src)
-{
-    bool use_sfpf, use_pgu, train_on_squashed, conservative, spec;
-    bool pgu_pset = false;
-    bool model_targets = false;
-    std::uint32_t avail_delay, pvp_log2, jrs_log2, pgu_delay;
-    std::uint32_t profile_cap;
-    std::uint32_t btb_sets = 0, btb_ways = 0, ras_depth = 0;
-    std::uint8_t spec_gate, pgu_source, pgu_value;
-    PABP_TRY(src.readBool(use_sfpf));
-    PABP_TRY(src.readBool(use_pgu));
-    PABP_TRY(src.readPod(avail_delay));
-    PABP_TRY(src.readBool(train_on_squashed));
-    PABP_TRY(src.readBool(conservative));
-    PABP_TRY(src.readBool(spec));
-    PABP_TRY(src.readPod(pvp_log2));
-    PABP_TRY(src.readPod(spec_gate));
-    PABP_TRY(src.readPod(jrs_log2));
-    PABP_TRY(src.readPod(pgu_source));
-    PABP_TRY(src.readPod(pgu_value));
-    PABP_TRY(src.readBool(pgu_pset));
-    PABP_TRY(src.readPod(pgu_delay));
-    PABP_TRY(src.readPod(profile_cap));
-    PABP_TRY(src.readBool(model_targets));
-    PABP_TRY(src.readPod(btb_sets));
-    PABP_TRY(src.readPod(btb_ways));
-    PABP_TRY(src.readPod(ras_depth));
-    bool config_matches = use_sfpf == cfg.useSfpf &&
-        use_pgu == cfg.usePgu && avail_delay == cfg.availDelay &&
-        train_on_squashed == cfg.trainOnSquashed &&
-        conservative == cfg.conservativeDefTracking &&
-        spec == cfg.useSpeculativeSquash &&
-        pvp_log2 == cfg.pvpEntriesLog2 &&
-        spec_gate == static_cast<std::uint8_t>(cfg.specGate) &&
-        jrs_log2 == cfg.jrsEntriesLog2 &&
-        pgu_source == static_cast<std::uint8_t>(cfg.pgu.source) &&
-        pgu_value == static_cast<std::uint8_t>(cfg.pgu.value) &&
-        pgu_pset == cfg.pgu.includePSet && pgu_delay == cfg.pgu.delay &&
-        profile_cap == cfg.branchProfileCapacity &&
-        model_targets == cfg.modelTargets &&
-        btb_sets == cfg.btbSetsLog2 && btb_ways == cfg.btbWays &&
-        ras_depth == cfg.rasDepth;
-    if (!config_matches)
-        return Status(StatusCode::InvalidArgument,
-                      "checkpoint was taken with a different engine "
-                      "configuration");
-
-    Status stats_status = Status();
-    forEachStatsField(engineStats, [&](std::uint64_t &v) {
-        if (stats_status.ok())
-            stats_status = src.readPod(v);
-    });
-    PABP_TRY(std::move(stats_status));
-    PABP_TRY(src.readPod(shiftsSincePguBit));
-
-    PABP_TRY(predFile.loadState(src));
-    PABP_TRY(sfpf.loadState(src));
-    PABP_TRY(pgu.loadState(src));
-    PABP_TRY(pvp.loadState(src));
-    PABP_TRY(jrs.loadState(src));
-    PABP_TRY(profile.loadState(src));
-
-    std::string pred_name;
-    PABP_TRY(src.readString(pred_name));
-    if (pred_name != pred.name())
-        return Status(StatusCode::InvalidArgument,
-                      "checkpoint predictor '" + pred_name +
-                          "' != configured predictor '" + pred.name() +
-                          "'");
-    PABP_TRY(pred.loadState(src));
-
-    if (cfg.modelTargets) {
-        PABP_TRY(btbPtr->loadState(src));
-        PABP_TRY(rasPtr->loadState(src));
-    }
-    return Status();
-}
-
 std::uint64_t
 runTrace(Emulator &emu, PredictionEngine &engine, std::uint64_t max_insts)
 {
@@ -1076,7 +922,7 @@ std::uint64_t
 replayTraceFrom(const RecordedTrace &trace, PredictionEngine &engine,
                 std::uint64_t first, std::uint64_t max_insts)
 {
-    // Clamp, returning FIRST unchanged: a resume cursor positioned at
+    // Clamp, returning FIRST unchanged: a cursor positioned at
     // or past the end of a (shorter) trace must not be yanked back to
     // trace.size() - callers treat the return value as their new
     // cursor, and moving it backwards would silently re-run events.

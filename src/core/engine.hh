@@ -68,7 +68,7 @@ struct EngineConfig
      *  (see docs on the lookup policy in bpred/btb.hh), counts target
      *  misses, and reports them through ProcessResult so the pipeline
      *  can charge penalties. Off by default: direction-only runs keep
-     *  their metric files and checkpoints byte-identical. */
+     *  their metric files byte-identical. */
     bool modelTargets = false;
     unsigned btbSetsLog2 = 9;
     unsigned btbWays = 4;
@@ -131,8 +131,9 @@ struct EngineStats
             : 0.0;
     }
 
-    /** Exact equality - the checkpoint/resume equivalence tests
-     *  require bit-identical counters, not tolerances. */
+    /** Exact equality - the fast-vs-reference and split-replay
+     *  equivalence tests require bit-identical counters, not
+     *  tolerances. */
     bool operator==(const EngineStats &) const = default;
 };
 
@@ -261,19 +262,6 @@ class PredictionEngine
      *  and history state persist. */
     void resetStats();
 
-    /**
-     * @name Checkpointing
-     * Serialise/restore everything the engine needs to continue a
-     * run bit-identically: stats, the delayed predicate file, both
-     * queues, the speculation tables, and the base predictor's own
-     * state (keyed by its name() so a checkpoint cannot be restored
-     * into a differently-configured engine). Used by sim/checkpoint.
-     * @{
-     */
-    void saveState(StateSink &sink) const;
-    Status loadState(StateSource &src);
-    /** @} */
-
   private:
     BranchPredictor &pred;
     EngineConfig cfg;
@@ -285,7 +273,7 @@ class PredictionEngine
     EngineStats engineStats;
     BranchProfile profile;
     /** History shifts since the last PGU-injected bit, clamped to
-     *  pguInfluenceWindow ("no recent bit"). Checkpointed. */
+     *  pguInfluenceWindow ("no recent bit"). */
     std::uint64_t shiftsSincePguBit = pguInfluenceWindow;
 
     /** @name Target modelling (allocated iff cfg.modelTargets)
@@ -424,10 +412,10 @@ std::uint64_t replayTrace(const RecordedTrace &trace,
                           std::uint64_t max_insts);
 
 /**
- * Replay starting at event @p first (a position restored from a
- * checkpoint). Returns the index one past the last event processed.
- * Clamped semantics: @p first at or past the end of the trace
- * processes nothing and returns @p first UNCHANGED - a resume cursor
+ * Replay starting at event @p first (where an earlier call on the same
+ * engine stopped). Returns the index one past the last event
+ * processed. Clamped semantics: @p first at or past the end of the
+ * trace processes nothing and returns @p first UNCHANGED - a cursor
  * positioned past a (shorter) trace must not be yanked backwards, or
  * the caller's progress bookkeeping would silently re-run events.
  */

@@ -28,11 +28,6 @@
  * replay are byte-identical, and a 1-context replay is byte-identical
  * to the ordinary single-stream loop (pinned by tests and the
  * multictx fuzz oracle).
- *
- * Checkpointing is deliberately unsupported here: a mid-slice
- * snapshot would need every context's emulator plus the schedule
- * state, and no experiment needs it - the sweep rejects the
- * combination with InvalidArgument.
  */
 
 #ifndef PABP_CORE_MULTICTX_HH

@@ -28,9 +28,7 @@
 #include "sim/emulator.hh"
 #include "util/logging.hh"
 #include "util/ring_queue.hh"
-#include "util/serialize.hh"
 #include "util/stats.hh"
-#include "util/status.hh"
 
 namespace pabp {
 
@@ -202,11 +200,6 @@ class PredicateGlobalUpdate
                     [this] { return queue.size(); });
     }
 
-    /** Pending-bit queue and insertion count; the base predictor's
-     *  own state is checkpointed by its owner. */
-    void saveState(StateSink &sink) const;
-    Status loadState(StateSource &src);
-
     /** One queued history bit (public so PguBatchView's scratch
      *  buffer can name it; the queue itself stays private). */
     struct Pending
@@ -231,8 +224,8 @@ class PredicateGlobalUpdate
  * pop per injected bit, plus a DynInst materialisation just to call
  * observe(). Within a batch the queue is pure FIFO traffic whose
  * ordering is only observable at the drain points (immediately before
- * each branch prediction) and in the checkpoint bytes; a flat vector
- * with a drain cursor reproduces both exactly. begin() snapshots the
+ * each branch prediction) and in the queue contents left behind at
+ * commit; a flat vector with a drain cursor reproduces both exactly. begin() snapshots the
  * PGU's pending queue into the caller's scratch vector; observe()
  * appends from the decoded-trace lanes without building a DynInst;
  * drainTo() walks the cursor forward, injecting ripened bits with a

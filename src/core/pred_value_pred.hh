@@ -18,9 +18,7 @@
 #include <vector>
 
 #include "util/sat_counter.hh"
-#include "util/serialize.hh"
 #include "util/stats.hh"
-#include "util/status.hh"
 
 namespace pabp {
 
@@ -49,26 +47,12 @@ class PredicateValuePredictor
     /** @name Observability
      * trains() counts training events - one per conditional branch
      * whose guard was UNRESOLVED at fetch, with the extension armed
-     * (pinned by tests/test_stats.cc); checkpointed alongside the
-     * table.
+     * (pinned by tests/test_stats.cc).
      * @{ */
     std::uint64_t trains() const { return trainCount; }
     void registerStats(StatGroup &group, const std::string &prefix);
     void resetStats() { trainCount = 0; }
     /** @} */
-
-    void
-    saveState(StateSink &sink) const
-    {
-        sink.writeCounters(table);
-        sink.writeU64(trainCount);
-    }
-    Status
-    loadState(StateSource &src)
-    {
-        PABP_TRY(src.readCounters(table));
-        return src.readPod(trainCount);
-    }
 
   private:
     std::vector<SatCounter> table;

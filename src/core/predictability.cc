@@ -85,31 +85,35 @@ PredictabilityAnalyzer::recordPattern(PatternTable &t,
                                       std::uint32_t pattern,
                                       bool taken)
 {
-    auto it = t.counts.find(pattern);
-    if (it == t.counts.end()) {
+    const auto find = [&t](std::uint32_t p) {
+        return std::lower_bound(
+            t.counts.begin(), t.counts.end(), p,
+            [](const PatternCount &e, std::uint32_t k) {
+                return e.pattern < k;
+            });
+    };
+    auto it = find(pattern);
+    if (it == t.counts.end() || it->pattern != pattern) {
         if (t.counts.size() >= cfg.patternCapacity) {
             // Fold the least-observed pattern (ties: highest
             // pattern) into the remainder bucket.
             auto victim = t.counts.begin();
             for (auto cand = t.counts.begin(); cand != t.counts.end();
                  ++cand) {
-                const std::uint64_t cn =
-                    cand->second[0] + cand->second[1];
-                const std::uint64_t vn =
-                    victim->second[0] + victim->second[1];
-                if (cn < vn || (cn == vn && cand->first > victim->first))
+                const std::uint64_t cn = cand->n[0] + cand->n[1];
+                const std::uint64_t vn = victim->n[0] + victim->n[1];
+                if (cn < vn || (cn == vn && cand->pattern > victim->pattern))
                     victim = cand;
             }
-            t.remainder[0] += victim->second[0];
-            t.remainder[1] += victim->second[1];
+            t.remainder[0] += victim->n[0];
+            t.remainder[1] += victim->n[1];
             t.evictedPatterns += 1;
             t.counts.erase(victim);
+            it = find(pattern);
         }
-        it = t.counts.emplace(pattern,
-                              std::array<std::uint64_t, 2>{0, 0})
-                 .first;
+        it = t.counts.insert(it, PatternCount{pattern, {0, 0}});
     }
-    it->second[taken ? 1 : 0] += 1;
+    it->n[taken ? 1 : 0] += 1;
 }
 
 void
@@ -140,9 +144,9 @@ PredictabilityAnalyzer::observe(std::uint32_t pc, bool taken)
 namespace {
 
 /** Pattern-frequency-weighted binary entropy of one table. */
+template <typename Counts>
 double
-tableEntropy(const std::map<std::uint32_t,
-                            std::array<std::uint64_t, 2>> &counts,
+tableEntropy(const Counts &counts,
              const std::array<std::uint64_t, 2> &remainder,
              std::uint64_t total)
 {

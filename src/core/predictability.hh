@@ -167,10 +167,19 @@ class PredictabilityAnalyzer
     std::uint64_t observed() const { return total; }
 
   private:
+    /** One history pattern's [not-taken, taken] observation counts. */
+    struct PatternCount
+    {
+        std::uint32_t pattern;
+        std::array<std::uint64_t, 2> n;
+    };
+
     struct PatternTable
     {
-        /** pattern -> [not-taken, taken] observation counts. */
-        std::map<std::uint32_t, std::array<std::uint64_t, 2>> counts;
+        /** Sorted by pattern. A flat vector, not a map: the eviction
+         *  scan walks every entry, and contiguous entries keep that
+         *  walk's speed independent of where the heap put them. */
+        std::vector<PatternCount> counts;
         /** Folded-pattern remainder bucket. */
         std::array<std::uint64_t, 2> remainder = {0, 0};
         std::uint64_t evictedPatterns = 0;

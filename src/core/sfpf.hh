@@ -17,9 +17,7 @@
 
 #include "core/delayed_pred_file.hh"
 #include "isa/inst.hh"
-#include "util/serialize.hh"
 #include "util/stats.hh"
-#include "util/status.hh"
 
 namespace pabp {
 
@@ -54,9 +52,6 @@ class SquashFalsePathFilter
     {
         group.gauge(prefix + "squashes", [this] { return squashCount; });
     }
-
-    void saveState(StateSink &sink) const { sink.writeU64(squashCount); }
-    Status loadState(StateSource &src) { return src.readPod(squashCount); }
 
   private:
     const DelayedPredicateFile &predFile;

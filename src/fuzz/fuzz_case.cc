@@ -9,7 +9,7 @@ namespace pabp::fuzz {
 namespace {
 
 const Oracle oracleList[] = {Oracle::IfConvert, Oracle::Pipeline,
-                             Oracle::Replay, Oracle::Checkpoint,
+                             Oracle::Replay, Oracle::Split,
                              Oracle::Trace, Oracle::Sweep,
                              Oracle::Journal, Oracle::MultiCtx};
 
@@ -66,7 +66,7 @@ oracleName(Oracle oracle)
       case Oracle::IfConvert: return "ifconvert";
       case Oracle::Pipeline: return "pipeline";
       case Oracle::Replay: return "replay";
-      case Oracle::Checkpoint: return "checkpoint";
+      case Oracle::Split: return "split";
       case Oracle::Trace: return "trace";
       case Oracle::Sweep: return "sweep";
       case Oracle::Journal: return "journal";

@@ -33,7 +33,7 @@ enum class Oracle : unsigned
     IfConvert = 1u << 0,  ///< branchy vs if-converted arch state
     Pipeline = 1u << 1,   ///< trace-driven vs pipeline-driven engine
     Replay = 1u << 2,     ///< reference replay vs fast batch replay
-    Checkpoint = 1u << 3, ///< mid-trace save/resume vs straight-through
+    Split = 1u << 3,      ///< replay split at halfway vs straight-through
     Trace = 1u << 4,      ///< corrupt PABPTRC2: typed error or salvage
     Sweep = 1u << 5,      ///< SweepRunner cell fast vs reference
     Journal = 1u << 6,    ///< corrupt PABPJRN1: typed error or salvage

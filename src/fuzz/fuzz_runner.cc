@@ -164,7 +164,7 @@ checkHarness(const RunEnv &env, std::ostream &log)
     c.name = "clamp-bug-check";
     c.seed = 7;
     c.predictor = "gshare";
-    c.oracles = static_cast<unsigned>(Oracle::Checkpoint);
+    c.oracles = static_cast<unsigned>(Oracle::Split);
     c.maxInsts = 20'000;
     clampConfig(c.gen);
 
@@ -175,7 +175,7 @@ checkHarness(const RunEnv &env, std::ostream &log)
         return statusError(
             StatusCode::Corrupt,
             "harness check: injected cursor-clamp bug was NOT caught "
-            "by the checkpoint oracle");
+            "by the split oracle");
     log << "harness check: injected clamp bug caught:\n";
     for (const FuzzReport &report : outcome.value().failures)
         log << "  [" << oracleName(report.oracle) << "] "

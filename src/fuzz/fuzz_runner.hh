@@ -73,7 +73,7 @@ Expected<CaseOutcome> replayCaseFile(const std::string &path,
 
 /**
  * Harness self-check (the PR-5 acceptance criterion): run a
- * checkpoint-oracle case with the PR-4 cursor-clamp bug injected
+ * split-oracle case with the cursor-clamp bug injected
  * (RunEnv::injectClampBug). Ok iff the oracle catches the bug AND the
  * shrinker minimises it to a reproducer of at most 20 trace
  * instructions; any other outcome is an error describing what the

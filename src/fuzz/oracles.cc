@@ -7,7 +7,6 @@
 
 #include "bpred/factory.hh"
 #include "compiler/pred_verify.hh"
-#include "core/checkpoint.hh"
 #include "core/multictx.hh"
 #include "pipeline/pipeline.hh"
 #include "sim/decoded_trace.hh"
@@ -335,10 +334,10 @@ oracleReplay(const FuzzCase &c, CaseContext &ctx)
 }
 
 // ---------------------------------------------------------------------
-// Oracle 4: checkpoint/resume vs straight-through.
+// Oracle 4: split replay vs straight-through.
 
 Status
-oracleCheckpoint(const FuzzCase &c, CaseContext &ctx, const RunEnv &env)
+oracleSplit(const FuzzCase &c, CaseContext &ctx, const RunEnv &env)
 {
     const RecordedTrace &trace = ctx.traceFor(c);
     if (trace.size() == 0)
@@ -356,8 +355,7 @@ oracleCheckpoint(const FuzzCase &c, CaseContext &ctx, const RunEnv &env)
         return replayTraceFrom(t, e, first, max);
     };
 
-    Expected<PredictorPtr> preds[3] = {makeCasePredictor(c),
-                                       makeCasePredictor(c),
+    Expected<PredictorPtr> preds[2] = {makeCasePredictor(c),
                                        makeCasePredictor(c)};
     for (const auto &p : preds)
         if (!p.ok())
@@ -366,53 +364,42 @@ oracleCheckpoint(const FuzzCase &c, CaseContext &ctx, const RunEnv &env)
     PredictionEngine straight(*preds[0].value(), c.engine);
     replayFrom(trace, straight, 0, trace.size());
 
-    char fp[17];
-    std::snprintf(fp, sizeof(fp), "%016llx",
-                  static_cast<unsigned long long>(
-                      configFingerprint(c.gen) ^ c.seed));
-    const std::string ckpt =
-        env.scratchDir + "/pabp-fuzz-" + fp + ".ckpt";
+    // Stop at the halfway point and continue on the same engine from
+    // the returned cursor: the cursor contract every sliced loop
+    // (heartbeat chunks, the sweep's watchdog slices) relies on.
+    PredictionEngine split(*preds[1].value(), c.engine);
+    const std::uint64_t half = trace.size() / 2;
+    const std::uint64_t pos = replayFrom(trace, split, 0, half);
+    if (pos != half)
+        return diverged("split replay stopped at " +
+                        std::to_string(pos) + ", asked for " +
+                        std::to_string(half));
+    replayFrom(trace, split, pos, trace.size());
 
-    PredictionEngine first(*preds[1].value(), c.engine);
-    std::uint64_t half = trace.size() / 2;
-    std::uint64_t pos = replayFrom(trace, first, 0, half);
-    PABP_TRY(saveCheckpoint(ckpt,
-                            CheckpointRefs{nullptr, &first, &pos}));
+    if (!(straight.stats() == split.stats()))
+        return diverged("split replay stats diverge from "
+                        "straight-through:" +
+                        statsDiff(straight.stats(), split.stats()));
+    if (!(straight.branchProfile() == split.branchProfile()))
+        return diverged("split replay per-branch profile diverges "
+                        "from straight-through");
 
-    PredictionEngine resumed(*preds[2].value(), c.engine);
-    std::uint64_t resumedPos = 0;
-    PABP_TRY(loadCheckpoint(
-        ckpt, CheckpointRefs{nullptr, &resumed, &resumedPos}));
-    if (resumedPos != pos)
-        return diverged("restored stream position " +
-                        std::to_string(resumedPos) +
-                        " != saved position " + std::to_string(pos));
-    replayFrom(trace, resumed, resumedPos, trace.size());
-
-    if (!(straight.stats() == resumed.stats()))
-        return diverged(
-            "checkpoint/resume stats diverge from straight-through:" +
-            statsDiff(straight.stats(), resumed.stats()));
-    if (!(straight.branchProfile() == resumed.branchProfile()))
-        return diverged("checkpoint/resume per-branch profile "
-                        "diverges from straight-through");
-
-    // Clamped-cursor contract: a resume cursor past the end of a
-    // (shorter) trace processes nothing and comes back UNCHANGED -
-    // yanking it backwards silently re-runs events (the PR-4 bug).
+    // Clamped-cursor contract: a cursor past the end of a (shorter)
+    // trace processes nothing and comes back UNCHANGED - yanking it
+    // backwards silently re-runs events.
     const std::uint64_t past = trace.size() + 3;
-    EngineStats before = resumed.stats();
-    std::uint64_t got = replayFrom(trace, resumed, past, 1000);
+    EngineStats before = split.stats();
+    std::uint64_t got = replayFrom(trace, split, past, 1000);
     if (got != past)
         return diverged(
             "replayTraceFrom moved a past-the-end cursor: gave " +
             std::to_string(past) + ", got back " +
             std::to_string(got) + " (trace size " +
             std::to_string(trace.size()) + ")");
-    if (!(resumed.stats() == before))
+    if (!(split.stats() == before))
         return diverged("replayTraceFrom with a past-the-end cursor "
                         "changed engine stats:" +
-                        statsDiff(before, resumed.stats()));
+                        statsDiff(before, split.stats()));
     return {};
 }
 
@@ -886,7 +873,7 @@ runOracleWith(Oracle oracle, const FuzzCase &c, const RunEnv &env,
       case Oracle::IfConvert: return oracleIfConvert(c, ctx);
       case Oracle::Pipeline: return oraclePipeline(c, ctx);
       case Oracle::Replay: return oracleReplay(c, ctx);
-      case Oracle::Checkpoint: return oracleCheckpoint(c, ctx, env);
+      case Oracle::Split: return oracleSplit(c, ctx, env);
       case Oracle::Trace: return oracleTrace(c, ctx);
       case Oracle::Sweep: return oracleSweep(c, ctx);
       case Oracle::Journal: return oracleJournal(c, env);
@@ -923,7 +910,7 @@ runCase(const FuzzCase &fuzz_case, const RunEnv &env)
 
     CaseOutcome outcome;
     const Oracle order[] = {Oracle::IfConvert, Oracle::Pipeline,
-                            Oracle::Replay, Oracle::Checkpoint,
+                            Oracle::Replay, Oracle::Split,
                             Oracle::Trace, Oracle::Sweep,
                             Oracle::Journal, Oracle::MultiCtx};
     for (Oracle o : order) {

@@ -4,7 +4,7 @@
  * repo has four independent execution paths - emulator, pipeline,
  * reference replay, fast batch replay - plus the compile-time
  * if-conversion transform and the two persistence formats (trace,
- * checkpoint); each oracle pins one cross-path agreement:
+ * results journal); each oracle pins one cross-path agreement:
  *
  *  ifconvert:  branchy vs if-converted lowering halt with identical
  *              GPRs + memory; both pass static validation and the
@@ -15,8 +15,9 @@
  *  replay:     reference replayTrace vs PredictionEngine::processBatch:
  *              stats, per-branch profile, PGU bit count, processed
  *              count AND exported metrics bytes identical.
- *  checkpoint: save mid-replay, restore into fresh objects, finish -
- *              identical stats to a straight-through run; plus the
+ *  split:      replay to the halfway point, continue on the same
+ *              engine from the returned cursor - identical stats and
+ *              profile to a straight-through run; plus the
  *              past-the-end cursor contract of replayTraceFrom.
  *  trace:      bit-flipped / truncated PABPTRC2 bytes produce a typed
  *              Status or a valid salvage prefix - never a crash, never
@@ -68,12 +69,12 @@ struct CaseOutcome
 /** Environment knobs for a run. */
 struct RunEnv
 {
-    /** Directory for checkpoint scratch files; "." by default. */
+    /** Directory for journal scratch files; "." by default. */
     std::string scratchDir = ".";
     /**
      * Regression self-check: re-introduce the PR-4 replayTraceFrom
-     * cursor-clamp bug (a past-the-end resume cursor yanked back to
-     * trace.size(), silently re-running events) in the checkpoint
+     * cursor-clamp bug (a past-the-end cursor yanked back to
+     * trace.size(), silently re-running events) in the split
      * oracle's replay wrapper. The harness must catch and minimise
      * it - the acceptance check behind `pabp-fuzz --check-harness`.
      */

@@ -56,7 +56,7 @@ struct PipelineConfig
     // The BTB and RAS belong to the prediction engine now
     // (EngineConfig::modelTargets + btbSetsLog2/btbWays/rasDepth):
     // they are predictor state - shared or partitioned across
-    // contexts, checkpointed, stat-registered - not timing state.
+    // contexts, stat-registered - not timing state.
     // The pipeline only charges cycles for the outcomes the engine
     // reports through ProcessResult.
 };

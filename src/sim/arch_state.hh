@@ -12,8 +12,6 @@
 #include <vector>
 
 #include "isa/inst.hh"
-#include "util/serialize.hh"
-#include "util/status.hh"
 
 namespace pabp {
 
@@ -73,17 +71,6 @@ class ArchState
     /** Equality over registers + predicates + memory (for the
      *  if-conversion equivalence property tests). */
     bool sameArchOutcome(const ArchState &other) const;
-
-    /**
-     * @name Checkpointing
-     * Full architectural state: registers, predicates, pc, call
-     * stack and data memory. Memory geometry must match on restore
-     * (a checkpoint resumes an identically-configured machine).
-     * @{
-     */
-    void saveState(StateSink &sink) const;
-    Status loadState(StateSource &src);
-    /** @} */
 
     std::uint32_t pc = 0;
     bool halted = false;

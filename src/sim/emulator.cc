@@ -236,30 +236,4 @@ Emulator::run(std::uint64_t max_insts)
     }
 }
 
-
-void
-Emulator::saveState(StateSink &sink) const
-{
-    sink.writeU64(prog.size());
-    sink.writeU64(executed);
-    sink.writeBool(fuse);
-    archState.saveState(sink);
-}
-
-Status
-Emulator::loadState(StateSource &src)
-{
-    std::uint64_t prog_size = 0;
-    PABP_TRY(src.readPod(prog_size));
-    if (prog_size != prog.size())
-        return Status(StatusCode::InvalidArgument,
-                      "checkpoint program has " +
-                          std::to_string(prog_size) +
-                          " instructions, this emulator's has " +
-                          std::to_string(prog.size()));
-    PABP_TRY(src.readPod(executed));
-    PABP_TRY(src.readBool(fuse));
-    return archState.loadState(src);
-}
-
 } // namespace pabp

@@ -85,18 +85,6 @@ class Emulator
     const ArchState &state() const { return archState; }
     const Program &program() const { return prog; }
 
-    /**
-     * @name Checkpointing
-     * Position (instructions executed, fuse) plus the architectural
-     * state. The program itself is not serialised: a resume
-     * reconstructs it (workload compilation is deterministic) and
-     * loadState() cross-checks the instruction count.
-     * @{
-     */
-    void saveState(StateSink &sink) const;
-    Status loadState(StateSource &src);
-    /** @} */
-
   private:
     const Program &prog;
     EmuConfig cfg;

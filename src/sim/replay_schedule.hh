@@ -25,7 +25,7 @@
  * reads, and the full entry state of the predicate file and PGU queue
  * (compared value for value, not hashed, so a stale hit is
  * impossible). The fast-vs-reference equivalence suite replays warm
- * caches and pins stats, profile and checkpoint bytes bit-identical.
+ * caches and pins stats, profile and metrics bytes bit-identical.
  *
  * Thread safety: find/insert are mutex-guarded; schedules are
  * immutable once published (shared_ptr<const>), so concurrent sweep

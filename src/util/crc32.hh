@@ -1,7 +1,7 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, polynomial 0xEDB88320) - the integrity check
- * used by the PABPTRC2 trace format and the checkpoint files. Plain
+ * used by the PABPTRC2 trace format and the results journal. Plain
  * table-driven byte-at-a-time implementation; the streams it protects
  * are read once sequentially, so throughput is not the bottleneck.
  */

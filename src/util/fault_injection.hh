@@ -5,7 +5,7 @@
  * truncate at an offset, or fail the underlying stream at an offset -
  * and the helpers apply it to an in-memory artifact image or wrap the
  * image in a stream that misbehaves on cue. tests/test_fault_injection
- * sweeps these over the trace and checkpoint readers to prove every
+ * sweeps these over the trace and journal readers to prove every
  * injected fault surfaces as a typed Status (or a successful salvage),
  * never as a process abort.
  */

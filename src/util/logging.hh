@@ -5,11 +5,14 @@
  * panic()  - internal invariant violated; aborts.
  * fatal()  - user/configuration error; exits with status 1.
  * warn()   - non-fatal diagnostic on stderr.
+ * warn_once() - warn() deduplicated per distinct message per process;
+ *            repeats are counted and reported in one line at exit.
  */
 
 #ifndef PABP_UTIL_LOGGING_HH
 #define PABP_UTIL_LOGGING_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -19,6 +22,13 @@ namespace pabp {
 /** Print a formatted message with a severity prefix to stderr. */
 void logMessage(const char *severity, const std::string &msg,
                 const char *file, int line);
+
+/** logMessage("warn", ...) the first time @p msg is seen in this
+ *  process; later repeats are only counted. Thread-safe. */
+void warnOnce(const std::string &msg, const char *file, int line);
+
+/** Repeats warnOnce() has suppressed so far in this process. */
+std::uint64_t suppressedWarnings();
 
 /** Abort with a message; use for violated internal invariants. */
 [[noreturn]] void panicImpl(const std::string &msg, const char *file,
@@ -33,6 +43,7 @@ void logMessage(const char *severity, const std::string &msg,
 #define pabp_panic(msg) ::pabp::panicImpl((msg), __FILE__, __LINE__)
 #define pabp_fatal(msg) ::pabp::fatalImpl((msg), __FILE__, __LINE__)
 #define pabp_warn(msg) ::pabp::logMessage("warn", (msg), __FILE__, __LINE__)
+#define pabp_warn_once(msg) ::pabp::warnOnce((msg), __FILE__, __LINE__)
 
 /**
  * Force-inline for the replay hot path's per-event helpers. The

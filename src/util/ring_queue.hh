@@ -14,9 +14,8 @@
  * dozen entries).
  *
  * Deliberately minimal: exactly the deque surface the two users need
- * (push_back, pop_front, front, empty, size, clear) plus forEach for
- * checkpoint serialisation, which writes the same bytes element for
- * element as iterating a deque did.
+ * (push_back, pop_front, front, empty, size, clear) plus forEach, which
+ * visits elements in the same order as iterating a deque did.
  */
 
 #ifndef PABP_UTIL_RING_QUEUE_HH
@@ -68,7 +67,7 @@ class RingQueue
 
     void clear() { head = tail = 0; }
 
-    /** Visit every element oldest-first (checkpoint writers). */
+    /** Visit every element oldest-first (batch-view snapshots). */
     template <typename Fn>
     void
     forEach(Fn &&fn) const

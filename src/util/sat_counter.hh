@@ -69,7 +69,7 @@ class SatCounter
 
     std::uint8_t raw() const { return value; }
 
-    /** Restore a checkpointed value; masked into range. */
+    /** Overwrite the raw value; masked into range. */
     void setRaw(std::uint8_t v) { value = v & maxValue; }
 
     unsigned numBits() const { return bits; }

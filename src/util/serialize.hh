@@ -1,7 +1,7 @@
 /**
  * @file
  * Byte-level state serialisation used by the PABPTRC2 trace format and
- * the checkpoint files. A StateSink writes PODs to a stream while
+ * the results journal. A StateSink writes PODs to a stream while
  * folding every byte into a running CRC-32; a StateSource reads them
  * back, returning typed Status errors (Truncated on a short read,
  * IoError when the underlying stream itself failed) instead of
@@ -133,15 +133,6 @@ class StateSource
         return readBytes(&value, sizeof(T));
     }
 
-    Status
-    readBool(bool &value)
-    {
-        std::uint8_t raw = 0;
-        PABP_TRY(readPod(raw));
-        value = raw != 0;
-        return Status();
-    }
-
     /** @param max_len Sanity bound so a corrupt length cannot trigger
      *         a multi-gigabyte allocation before the CRC check. */
     Status
@@ -155,83 +146,6 @@ class StateSource
                               " exceeds bound");
         s.resize(len);
         return readBytes(s.data(), len);
-    }
-
-    /**
-     * Read a POD vector whose size must equal @p expected (state for
-     * a structure whose geometry is fixed by configuration). A
-     * different stored size means the artifact was produced by a
-     * differently-configured object.
-     */
-    template <typename T>
-    Status
-    readPodVector(std::vector<T> &vec, std::uint64_t expected)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        std::uint64_t count = 0;
-        PABP_TRY(readPod(count));
-        if (count != expected)
-            return Status(StatusCode::InvalidArgument,
-                          "stored size " + std::to_string(count) +
-                              " != configured size " +
-                              std::to_string(expected));
-        vec.resize(count);
-        return readBytes(vec.data(), count * sizeof(T));
-    }
-
-    /** Variable-length vector (a call stack, say), with a sanity
-     *  bound against corrupt counts. */
-    template <typename T>
-    Status
-    readPodVectorBounded(std::vector<T> &vec, std::uint64_t max_count)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        std::uint64_t count = 0;
-        PABP_TRY(readPod(count));
-        if (count > max_count)
-            return Status(StatusCode::Corrupt,
-                          "stored count " + std::to_string(count) +
-                              " exceeds bound " +
-                              std::to_string(max_count));
-        vec.resize(count);
-        return readBytes(vec.data(), count * sizeof(T));
-    }
-
-    Status
-    readBoolVector(std::vector<bool> &vec, std::uint64_t expected)
-    {
-        std::uint64_t count = 0;
-        PABP_TRY(readPod(count));
-        if (count != expected)
-            return Status(StatusCode::InvalidArgument,
-                          "stored size " + std::to_string(count) +
-                              " != configured size " +
-                              std::to_string(expected));
-        vec.resize(count);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            bool b = false;
-            PABP_TRY(readBool(b));
-            vec[i] = b;
-        }
-        return Status();
-    }
-
-    Status
-    readCounters(std::vector<SatCounter> &counters)
-    {
-        std::uint64_t count = 0;
-        PABP_TRY(readPod(count));
-        if (count != counters.size())
-            return Status(StatusCode::InvalidArgument,
-                          "counter table size " + std::to_string(count) +
-                              " != configured size " +
-                              std::to_string(counters.size()));
-        for (SatCounter &c : counters) {
-            std::uint8_t raw = 0;
-            PABP_TRY(readPod(raw));
-            c.setRaw(raw);
-        }
-        return Status();
     }
 
     std::uint32_t crc32() const { return crc.value(); }

@@ -89,7 +89,7 @@ class Histogram
  * A registry of named statistics. Components register their counters
  * by dotted name ("fetch.branches") - either as Scalars owned by the
  * group, or as gauges: callbacks reading a counter the component
- * itself owns (and possibly checkpoints). Harnesses snapshot or dump
+ * itself owns. Harnesses snapshot or dump
  * them all.
  *
  * Gauge callbacks capture component pointers; the group must not

@@ -6,7 +6,7 @@
  * terminates the process, which is the right answer for violated
  * internal invariants but makes the library unusable as an embedded
  * component when the error is *environmental*: a truncated trace file,
- * a corrupt checkpoint, a bad predictor name from a config file.
+ * a corrupt journal, a bad predictor name from a config file.
  * Recoverable surfaces return Status / Expected<T> instead; pabp_fatal
  * survives only as a thin shim at CLI entry points (examples/, bench/)
  * that converts a Status into an exit(1). See docs/ROBUSTNESS.md.

@@ -6,8 +6,6 @@
 
 #include "workloads/workload.hh"
 
-#include <atomic>
-
 #include "sim/arch_state.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -250,24 +248,13 @@ allWorkloads(std::uint64_t seed)
     return suite;
 }
 
-namespace {
-std::atomic<std::uint64_t> compileCalls{0};
-} // anonymous namespace
-
 CompiledProgram
 compileWorkload(Workload &wl, const CompileOptions &opts)
 {
-    compileCalls.fetch_add(1, std::memory_order_relaxed);
     std::string problem = verifyFunction(wl.fn);
     if (!problem.empty())
         pabp_panic("workload " + wl.name + " invalid: " + problem);
     return compileFunction(wl.fn, wl.init, opts);
-}
-
-std::uint64_t
-compileWorkloadCount()
-{
-    return compileCalls.load(std::memory_order_relaxed);
 }
 
 } // namespace pabp

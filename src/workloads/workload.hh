@@ -88,15 +88,6 @@ HyperblockHeuristics corrWorkloadHeuristics();
  *  program for this workload under the given options. */
 CompiledProgram compileWorkload(Workload &wl, const CompileOptions &opts);
 
-/**
- * Process-wide count of compileWorkload() calls. Compilation
- * (profiling included) dominates a sweep cell's setup cost, so the
- * sweep layer caches compiled programs and must never compile the
- * same (workload, options) twice - the regression tests pin that
- * down by differencing this counter. Thread-safe.
- */
-std::uint64_t compileWorkloadCount();
-
 } // namespace pabp
 
 #endif // PABP_WORKLOADS_WORKLOAD_HH

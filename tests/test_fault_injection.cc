@@ -12,14 +12,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <sstream>
 
-#include "bpred/factory.hh"
-#include "core/checkpoint.hh"
-#include "core/engine.hh"
 #include "sim/trace_io.hh"
 #include "util/fault_injection.hh"
 #include "workloads/workload.hh"
@@ -42,44 +36,8 @@ recordedTraceBytes(std::uint64_t steps)
     return buffer.str();
 }
 
-std::string
-checkpointBytes()
-{
-    PredictorPtr pred = makePredictor("gshare", 10);
-    EngineConfig ecfg;
-    ecfg.useSfpf = true;
-    PredictionEngine engine(*pred, ecfg);
-    const auto *info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    std::string path =
-        ::testing::TempDir() + "pabp_" + info->name() + "_src.ckpt";
-    std::uint64_t pos = 42;
-    CheckpointRefs refs{nullptr, &engine, &pos};
-    if (!saveCheckpoint(path, refs).ok())
-        return {};
-    std::ifstream is(path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(is)),
-                      std::istreambuf_iterator<char>());
-    std::remove(path.c_str());
-    return bytes;
-}
-
 /** Feed a faulted trace image to the reader; the result must be a
  *  typed error or a clean (possibly salvaged) success. */
-std::string
-uniqueTempPath(const std::string &suffix)
-{
-    // Tests run as parallel ctest processes sharing TempDir; the
-    // test name keeps their scratch files from colliding.
-    const auto *info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    std::string tag = info->name();
-    for (char &c : tag)
-        if (c == '/')
-            c = '_';
-    return ::testing::TempDir() + "pabp_" + tag + suffix;
-}
-
 void
 expectTraceReadIsGraceful(const std::string &bytes,
                           const FaultSpec &spec, bool salvage)
@@ -167,53 +125,6 @@ TEST(FaultInjection, SalvageRecoversPrefixUnderEventDamage)
     EXPECT_TRUE(info.salvaged);
     EXPECT_GT(loaded.value().size(), 0u);
     EXPECT_GT(info.eventsDropped, 0u);
-}
-
-/** Checkpoint reads go through the same serialisation layer; sweep
- *  the same fault families over loadCheckpoint via a temp file. */
-void
-expectCheckpointLoadIsGraceful(const std::string &bytes,
-                               const FaultSpec &spec)
-{
-    std::string path = uniqueTempPath("_sweep.ckpt");
-    std::string damaged = applyFault(bytes, spec);
-    {
-        std::ofstream os(path, std::ios::binary | std::ios::trunc);
-        os.write(damaged.data(),
-                 static_cast<std::streamsize>(damaged.size()));
-    }
-    PredictorPtr pred = makePredictor("gshare", 10);
-    EngineConfig ecfg;
-    ecfg.useSfpf = true;
-    PredictionEngine engine(*pred, ecfg);
-    std::uint64_t pos = 0;
-    CheckpointRefs refs{nullptr, &engine, &pos};
-    Status status = loadCheckpoint(path, refs);
-    if (!status.ok())
-        EXPECT_FALSE(status.message().empty());
-    std::remove(path.c_str());
-}
-
-TEST(FaultInjection, CheckpointSurvivesBitFlipsEverywhere)
-{
-    std::string bytes = checkpointBytes();
-    ASSERT_FALSE(bytes.empty());
-    for (std::size_t off = 0; off < bytes.size();
-         off += (off < 32 ? 1 : 17)) {
-        expectCheckpointLoadIsGraceful(bytes,
-                                       FaultSpec::bitFlip(off, off % 8));
-    }
-}
-
-TEST(FaultInjection, CheckpointSurvivesTruncationAtEveryStride)
-{
-    std::string bytes = checkpointBytes();
-    ASSERT_FALSE(bytes.empty());
-    for (std::size_t off = 0; off < bytes.size();
-         off += (off < 32 ? 1 : 13)) {
-        expectCheckpointLoadIsGraceful(bytes,
-                                       FaultSpec::truncate(off));
-    }
 }
 
 TEST(FaultInjection, ApplyFaultIsDeterministic)

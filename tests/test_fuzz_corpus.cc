@@ -169,7 +169,7 @@ TEST(FuzzCorpus, CoversMultiContextInterference)
 
 // ---------------------------------------------------------------------
 // Acceptance criterion: the re-introduced PR-4 cursor-clamp bug is
-// caught by the checkpoint oracle and minimised to <= 20 trace
+// caught by the split oracle and minimised to <= 20 trace
 // instructions. checkHarness() asserts both internally; this repeats
 // the shrink bound here so the test names the contract.
 
@@ -184,11 +184,11 @@ TEST(FuzzHarness, CatchesAndMinimisesInjectedClampBug)
     buggy.injectClampBug = true;
     FuzzCase c;
     c.seed = 7;
-    c.oracles = static_cast<unsigned>(Oracle::Checkpoint);
+    c.oracles = static_cast<unsigned>(Oracle::Split);
     Expected<CaseOutcome> outcome = runCase(c, buggy);
     ASSERT_TRUE(outcome.ok()) << outcome.status().toString();
     ASSERT_FALSE(outcome.value().passed())
-        << "checkpoint oracle missed the injected clamp bug";
+        << "split oracle missed the injected clamp bug";
 
     ShrinkResult r = shrinkCase(c, buggy, 200);
     EXPECT_GT(r.accepted, 0u);

@@ -284,9 +284,9 @@ TEST(FuzzCaseFormat, OracleMaskFormatting)
 {
     EXPECT_EQ(formatOracleMask(allOracles), "all");
     unsigned two = static_cast<unsigned>(Oracle::IfConvert) |
-        static_cast<unsigned>(Oracle::Checkpoint);
-    EXPECT_EQ(formatOracleMask(two), "ifconvert,checkpoint");
-    Expected<unsigned> parsed = parseOracleMask("ifconvert,checkpoint");
+        static_cast<unsigned>(Oracle::Split);
+    EXPECT_EQ(formatOracleMask(two), "ifconvert,split");
+    Expected<unsigned> parsed = parseOracleMask("ifconvert,split");
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed.value(), two);
     EXPECT_TRUE(parseOracleMask("all").ok());

@@ -428,19 +428,9 @@ multiCtxSpec(unsigned contexts, bool shared, bool fast)
     return spec;
 }
 
-TEST(MultiCtxSweep, RejectsCheckpointResumeAndTimedCells)
+TEST(MultiCtxSweep, RejectsTimedCells)
 {
     SweepRunner runner(SweepRunner::Config{1, 0});
-
-    RunSpec ckpt = multiCtxSpec(2, true, true);
-    ckpt.checkpointEvery = 5000;
-    EXPECT_EQ(runner.runOne(ckpt).status.code(),
-              StatusCode::InvalidArgument);
-
-    RunSpec resume = multiCtxSpec(2, true, true);
-    resume.resumePath = "pabp.ckpt";
-    EXPECT_EQ(runner.runOne(resume).status.code(),
-              StatusCode::InvalidArgument);
 
     RunSpec timed = multiCtxSpec(2, true, true);
     timed.mode = RunMode::Timed;
@@ -496,7 +486,7 @@ TEST(MultiCtxSweep, SingleContextSpecKeepsHistoricalFingerprint)
     tuned.context.tagBits = 3;
     // contexts == 1: the cell runs the ordinary single-stream loop,
     // so the context knobs must not perturb the fingerprint (old
-    // metrics filenames and checkpoint names stay valid).
+    // metrics filenames and journal records stay valid).
     EXPECT_EQ(bench::specFingerprint(plain),
               bench::specFingerprint(tuned));
 

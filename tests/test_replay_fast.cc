@@ -593,10 +593,10 @@ TEST(FastReplayEquivalence, ProcessBatchClampsPastTheEnd)
 
 TEST(FastReplayEquivalence, ReplayTraceFromClampsPastTheEnd)
 {
-    // Regression for the resume-cursor clamp bug: replayTraceFrom
-    // with first PAST the end used to misbehave instead of returning
-    // the cursor unchanged - a resume positioned past a shorter trace
-    // would silently re-run events.
+    // Regression for the cursor clamp bug: replayTraceFrom with first
+    // PAST the end used to misbehave instead of returning the cursor
+    // unchanged - a cursor positioned past a shorter trace would
+    // silently re-run events.
     RecordedTrace trace = recordWorkload("bsort", 5000);
     PredictorPtr pred = makePredictor("gshare", 12);
     EngineConfig ecfg;

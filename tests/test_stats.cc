@@ -3,8 +3,7 @@
  * Observability-layer tests: Histogram edge cases, the StatGroup
  * gauge/reset-hook registry, per-branch attribution (BranchProfile),
  * the metrics exporter's golden JSON bytes and round-trip parser,
- * checkpoint-resume equivalence of exported metrics, jobs-1-vs-N
- * byte identity of metric files, and the diffMetrics report backing
+ * jobs-1-vs-N byte identity of metric files, and the diffMetrics report backing
  * the pabp-stats tool.
  */
 
@@ -555,7 +554,7 @@ TEST(MetricsDiff, TopKSuppressionIsExplicit)
 }
 
 // ---------------------------------------------------------------------
-// Sweep-layer export: per-cell files, determinism, resume equivalence.
+// Sweep-layer export: per-cell files, determinism.
 
 /** One metrics-enabled trace cell. */
 RunSpec
@@ -595,9 +594,6 @@ TEST(SweepMetrics, CellWritesVersionedDocument)
     EXPECT_EQ(metrics->find("pgu.bits_inserted")->intValue,
               result.pguBits);
     EXPECT_EQ(metrics->find("spec.workload")->text, "interp");
-    // The resume flag must NOT be exported (resume equivalence).
-    EXPECT_EQ(metrics->find("resumed"), nullptr);
-    EXPECT_EQ(metrics->find("spec.resumed"), nullptr);
 
     // Per-branch attribution table is present and accounts for every
     // lookup the engine saw.
@@ -748,185 +744,6 @@ TEST(SweepMetrics, UnwritableMetricsDirFailsTheCell)
     EXPECT_FALSE(result.status.ok());
     EXPECT_EQ(result.status.code(), StatusCode::IoError);
     std::remove(blocker.c_str());
-}
-
-/** Copy a checkpoint across spec fingerprints (budget differs). */
-void
-aliasCheckpoint(const std::string &base, const RunSpec &from,
-                const RunSpec &to)
-{
-    std::ifstream src(derivedCheckpointPath(base, specFingerprint(from)),
-                      std::ios::binary);
-    std::ofstream dst(derivedCheckpointPath(base, specFingerprint(to)),
-                      std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(src.good());
-    ASSERT_TRUE(dst.good());
-    dst << src.rdbuf();
-}
-
-TEST(SweepMetrics, ResumedRunExportsIdenticalMetricsFile)
-{
-    // The stats double-count / lost-state class of bug, pinned at
-    // the observable artifact: a run split across a checkpoint must
-    // export the byte-identical metrics file of an uninterrupted
-    // run - engine counters, per-branch attribution, PGU influence
-    // cursor and all.
-    const std::string base = tempPath("split.ckpt");
-    RunSpec half = metricsSpec(tempPath("half"));
-    half.checkpointEvery = 5000;
-    half.maxInsts = 10000;
-    half.checkpointPath = base;
-    SweepRunner runner(SweepRunner::Config{1, 0});
-    ASSERT_TRUE(runner.runOne(half).status.ok());
-
-    RunSpec full = metricsSpec(tempPath("resumed"));
-    full.maxInsts = 20000;
-    full.resumePath = base;
-    aliasCheckpoint(base, half, full);
-    RunResult resumed = runner.runOne(full);
-    ASSERT_TRUE(resumed.status.ok()) << resumed.status.toString();
-    ASSERT_TRUE(resumed.resumed);
-
-    RunSpec straight = metricsSpec(tempPath("straight"));
-    straight.maxInsts = 20000;
-    RunResult uninterrupted = runner.runOne(straight);
-    ASSERT_TRUE(uninterrupted.status.ok());
-
-    EXPECT_EQ(resumed.engine, uninterrupted.engine);
-    EXPECT_EQ(resumed.profile, uninterrupted.profile);
-    const std::string resumed_file = metricsFilePath(
-        full.metricsDir, specFingerprint(full));
-    const std::string straight_file = metricsFilePath(
-        straight.metricsDir, specFingerprint(straight));
-    EXPECT_EQ(readFile(resumed_file), readFile(straight_file));
-
-    std::remove(derivedCheckpointPath(base, specFingerprint(half))
-                    .c_str());
-    std::remove(derivedCheckpointPath(base, specFingerprint(full))
-                    .c_str());
-    std::remove(resumed_file.c_str());
-    std::remove(straight_file.c_str());
-}
-
-TEST(SweepMetrics, ResumedTargetModellingExportsIdenticalFile)
-{
-    // Satellite of the BTB/RAS wiring fix: the target structures are
-    // part of the checkpoint now (ckpt version 3), so a resumed
-    // modelTargets run reproduces the uninterrupted run's target
-    // stats - and its metrics file, btb.*/ras.* gauges included -
-    // byte for byte.
-    const std::string base = tempPath("targets.ckpt");
-    RunSpec half = metricsSpec(tempPath("tgt_half"));
-    half.engine.modelTargets = true;
-    half.checkpointEvery = 5000;
-    half.maxInsts = 10000;
-    half.checkpointPath = base;
-    SweepRunner runner(SweepRunner::Config{1, 0});
-    ASSERT_TRUE(runner.runOne(half).status.ok());
-
-    RunSpec full = metricsSpec(tempPath("tgt_resumed"));
-    full.engine.modelTargets = true;
-    full.maxInsts = 20000;
-    full.resumePath = base;
-    aliasCheckpoint(base, half, full);
-    RunResult resumed = runner.runOne(full);
-    ASSERT_TRUE(resumed.status.ok()) << resumed.status.toString();
-    ASSERT_TRUE(resumed.resumed);
-
-    RunSpec straight = metricsSpec(tempPath("tgt_straight"));
-    straight.engine.modelTargets = true;
-    straight.maxInsts = 20000;
-    RunResult uninterrupted = runner.runOne(straight);
-    ASSERT_TRUE(uninterrupted.status.ok());
-
-    // Vacuity guard: the cell must actually have modelled targets.
-    ASSERT_GT(uninterrupted.engine.btbTargetMisses, 0u);
-    EXPECT_EQ(resumed.engine, uninterrupted.engine);
-    EXPECT_EQ(resumed.profile, uninterrupted.profile);
-    const std::string resumed_file = metricsFilePath(
-        full.metricsDir, specFingerprint(full));
-    const std::string straight_file = metricsFilePath(
-        straight.metricsDir, specFingerprint(straight));
-    EXPECT_EQ(readFile(resumed_file), readFile(straight_file));
-
-    std::remove(derivedCheckpointPath(base, specFingerprint(half))
-                    .c_str());
-    std::remove(derivedCheckpointPath(base, specFingerprint(full))
-                    .c_str());
-    std::remove(metricsFilePath(half.metricsDir, specFingerprint(half))
-                    .c_str());
-    std::remove(resumed_file.c_str());
-    std::remove(straight_file.c_str());
-}
-
-TEST(SweepMetrics, ResumedConflictProfilingMatchesUninterrupted)
-{
-    // Pins the gshare serialization fix: conflict-profiling state
-    // (lookup/conflict counters, last-writer tags) is checkpointed,
-    // so a resumed profileConflicts run reports the same counts - and
-    // exports the same metrics file - as an uninterrupted one.
-    const std::string base = tempPath("prof.ckpt");
-    RunSpec half;
-    half.workload = "bsort";
-    half.profileConflicts = true;
-    half.maxInsts = 10000;
-    half.checkpointEvery = 5000;
-    half.checkpointPath = base;
-    half.metricsDir = tempPath("prof_half");
-    SweepRunner runner(SweepRunner::Config{1, 0});
-    ASSERT_TRUE(runner.runOne(half).status.ok());
-
-    RunSpec full = half;
-    full.checkpointEvery = 0;
-    full.checkpointPath.clear();
-    full.maxInsts = 20000;
-    full.resumePath = base;
-    full.metricsDir = tempPath("prof_resumed");
-    aliasCheckpoint(base, half, full);
-    RunResult resumed = runner.runOne(full);
-    ASSERT_TRUE(resumed.status.ok()) << resumed.status.toString();
-    ASSERT_TRUE(resumed.resumed);
-
-    RunSpec straight = full;
-    straight.resumePath.clear();
-    straight.metricsDir = tempPath("prof_straight");
-    RunResult uninterrupted = runner.runOne(straight);
-    ASSERT_TRUE(uninterrupted.status.ok());
-
-    ASSERT_GT(uninterrupted.lookups, 0u);
-    EXPECT_EQ(resumed.lookups, uninterrupted.lookups);
-    EXPECT_EQ(resumed.conflicts, uninterrupted.conflicts);
-    const std::string resumed_file = metricsFilePath(
-        full.metricsDir, specFingerprint(full));
-    const std::string straight_file = metricsFilePath(
-        straight.metricsDir, specFingerprint(straight));
-    EXPECT_EQ(readFile(resumed_file), readFile(straight_file));
-
-    std::remove(derivedCheckpointPath(base, specFingerprint(half))
-                    .c_str());
-    std::remove(derivedCheckpointPath(base, specFingerprint(full))
-                    .c_str());
-    std::remove(metricsFilePath(half.metricsDir, specFingerprint(half))
-                    .c_str());
-    std::remove(resumed_file.c_str());
-    std::remove(straight_file.c_str());
-}
-
-TEST(SweepMetrics, ProfilingModeMismatchFallsBackToFreshRun)
-{
-    // A checkpoint taken WITHOUT conflict profiling must not load
-    // into a profiling predictor (its counters would be garbage);
-    // the sweep treats it as a spec mismatch and runs fresh.
-    GSharePredictor plain(10);
-    std::stringstream buf;
-    StateSink sink(buf);
-    plain.saveState(sink);
-    GSharePredictor profiling(10);
-    profiling.enableConflictProfiling();
-    StateSource src(buf);
-    Status status = profiling.loadState(src);
-    EXPECT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), StatusCode::InvalidArgument);
 }
 
 } // namespace

@@ -5,18 +5,14 @@
  *  - Determinism: a grid run at --jobs 1, 4 and 8 yields bit-identical
  *    EngineStats per cell and byte-identical CSV output - parallelism
  *    must be unobservable in the results.
- *  - Checkpoint isolation (regression): two cells sweeping in the same
- *    directory get DISTINCT fingerprint-derived checkpoint files and
- *    both resume from their own state. The pre-sweep bench harness
- *    wrote every cell to the literal same "pabp.ckpt", so the last
- *    writer won and earlier cells silently restarted.
- *  - Resume fallback compiles nothing (regression): a missing or
- *    configuration-mismatched resume file falls back to a fresh run
- *    by rebuilding only the cheap per-run state. The old runTraceSpec
- *    recursed into itself and recompiled the workload.
+ *  - Sliced execution is unobservable: the watchdog's heartbeat slices
+ *    leave every cell's stats and metrics bytes unchanged, and the
+ *    deadline runs from cell entry, artifact phases included.
  *  - Typed cell failure: a bad spec (unknown predictor/workload,
- *    damaged checkpoint) fails its own cell with a pabp::Status while
+ *    overrun watchdog) fails its own cell with a pabp::Status while
  *    the rest of the grid completes.
+ *  - Crash-safe campaigns: a killed sweep service resumes from its
+ *    journal and converges to byte-identical bytes.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +21,7 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -46,22 +43,6 @@ tempPath(const std::string &name)
     const auto *info =
         ::testing::UnitTest::GetInstance()->current_test_info();
     return ::testing::TempDir() + info->name() + "_" + name;
-}
-
-bool
-fileExists(const std::string &path)
-{
-    return std::ifstream(path, std::ios::binary).good();
-}
-
-void
-copyFile(const std::string &from, const std::string &to)
-{
-    std::ifstream src(from, std::ios::binary);
-    std::ofstream dst(to, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(src.good());
-    ASSERT_TRUE(dst.good());
-    dst << src.rdbuf();
 }
 
 /** A small but heterogeneous grid: three workloads x three engine
@@ -134,29 +115,22 @@ TEST(SweepFingerprint, DistinguishesBehaviourChangingFields)
     EXPECT_NE(specFingerprint(other), base);
 }
 
-TEST(SweepFingerprint, IgnoresCheckpointKnobs)
+TEST(SweepFingerprint, IgnoresExecutionKnobs)
 {
-    // Where a cell checkpoints must not change WHICH checkpoint it
-    // owns, or moving the sweep's scratch directory would orphan
-    // every resume file.
+    // How and where a cell runs must not change WHICH cell it is, or
+    // moving the metrics directory or arming the watchdog would
+    // rename every metrics file and orphan every journal record.
     RunSpec spec;
     spec.workload = "bsort";
     RunSpec other = spec;
-    other.checkpointEvery = 5000;
-    other.checkpointPath = "elsewhere/x.ckpt";
-    other.resumePath = "elsewhere/x.ckpt";
+    other.metricsDir = "elsewhere";
+    other.fastReplay = false;
+    other.characterize = true;
+    other.watchdogMillis = 5000;
+    other.heartbeatInsts = 7;
+    other.maxAttempts = 3;
+    other.captureMetrics = true;
     EXPECT_EQ(specFingerprint(other), specFingerprint(spec));
-}
-
-TEST(SweepFingerprint, DerivedPathInsertsPrintBeforeExtension)
-{
-    EXPECT_EQ(derivedCheckpointPath("dir/pabp.ckpt", 0xabcull),
-              "dir/pabp-0000000000000abc.ckpt");
-    EXPECT_EQ(derivedCheckpointPath("noext", 1),
-              "noext-0000000000000001");
-    // A dot in a directory component is not an extension.
-    EXPECT_EQ(derivedCheckpointPath("v1.2/state", 1),
-              "v1.2/state-0000000000000001");
 }
 
 TEST(SweepRunner, ResultsAreIdenticalAcrossJobCounts)
@@ -266,190 +240,9 @@ TEST(SweepRunner, ObserveWithoutObserverIsInvalid)
               StatusCode::InvalidArgument);
 }
 
-TEST(SweepCheckpoint, CellsInOneDirectoryDoNotCollide)
-{
-    // Regression: two cells checkpointing under the same base name.
-    // The old harness used the literal path for both, so the second
-    // cell's saves overwrote the first's and only one could resume.
-    const std::string base = tempPath("shared.ckpt");
-
-    std::vector<RunSpec> specs;
-    for (std::uint64_t seed : {42ull, 99ull}) {
-        RunSpec spec;
-        spec.workload = "dchain";
-        spec.seed = seed;
-        spec.maxInsts = 12000;
-        spec.checkpointEvery = 3000;
-        spec.checkpointPath = base;
-        specs.push_back(spec);
-    }
-    const std::string path_a =
-        derivedCheckpointPath(base, specFingerprint(specs[0]));
-    const std::string path_b =
-        derivedCheckpointPath(base, specFingerprint(specs[1]));
-    ASSERT_NE(path_a, path_b);
-
-    SweepRunner writer(SweepRunner::Config{1, 0});
-    const std::vector<RunResult> first = writer.run(specs);
-    ASSERT_TRUE(first[0].status.ok()) << first[0].status.toString();
-    ASSERT_TRUE(first[1].status.ok()) << first[1].status.toString();
-    EXPECT_TRUE(fileExists(path_a));
-    EXPECT_TRUE(fileExists(path_b));
-
-    // BOTH cells must resume from their own file and land on their
-    // own counters - this is exactly what the literal-path harness
-    // could not do.
-    std::vector<RunSpec> resumes = specs;
-    for (RunSpec &spec : resumes)
-        spec.resumePath = base;
-    SweepRunner reader(SweepRunner::Config{1, 0});
-    const std::vector<RunResult> second = reader.run(resumes);
-    for (int i = 0; i < 2; ++i) {
-        ASSERT_TRUE(second[i].status.ok())
-            << second[i].status.toString();
-        EXPECT_TRUE(second[i].resumed) << "cell " << i;
-        EXPECT_EQ(second[i].engine, first[i].engine) << "cell " << i;
-    }
-    // The two runs really were different work.
-    EXPECT_NE(first[0].engine, first[1].engine);
-
-    std::remove(path_a.c_str());
-    std::remove(path_b.c_str());
-}
-
-TEST(SweepCheckpoint, MissingResumeFileFallsBackWithoutRecompiling)
-{
-    // Regression: the old runTraceSpec handled a failed resume by
-    // calling itself, which recompiled the workload. The fallback
-    // must rebuild only per-run state: exactly one compile.
-    RunSpec spec;
-    spec.workload = "matrix";
-    spec.maxInsts = 10000;
-    spec.resumePath = tempPath("never-written.ckpt");
-
-    SweepRunner runner(SweepRunner::Config{1, 0});
-    const std::uint64_t compiles_before = compileWorkloadCount();
-    RunResult result = runner.runOne(spec);
-    const std::uint64_t compiles_after = compileWorkloadCount();
-
-    ASSERT_TRUE(result.status.ok()) << result.status.toString();
-    EXPECT_FALSE(result.resumed);
-    EXPECT_GT(result.engine.insts, 0u);
-    EXPECT_EQ(compiles_after - compiles_before, 1u);
-}
-
-TEST(SweepCheckpoint, MismatchedResumeFallsBackWithoutRecompiling)
-{
-    const std::string base = tempPath("mismatch.ckpt");
-
-    // Write a checkpoint under spec A's configuration...
-    RunSpec a;
-    a.workload = "dchain";
-    a.maxInsts = 8000;
-    a.checkpointEvery = 4000;
-    a.checkpointPath = base;
-    SweepRunner writer(SweepRunner::Config{1, 0});
-    ASSERT_TRUE(writer.runOne(a).status.ok());
-
-    // ...and plant it where spec B (different engine config) will
-    // look for its own. The loader flags the configuration mismatch;
-    // the runner must fall back to a fresh run of B, compiling once.
-    RunSpec b = a;
-    b.checkpointEvery = 0;
-    b.engine.useSfpf = true;
-    b.resumePath = base;
-    const std::string path_a =
-        derivedCheckpointPath(base, specFingerprint(a));
-    const std::string path_b =
-        derivedCheckpointPath(base, specFingerprint(b));
-    ASSERT_NE(path_a, path_b);
-    copyFile(path_a, path_b);
-
-    SweepRunner reader(SweepRunner::Config{1, 0});
-    const std::uint64_t compiles_before = compileWorkloadCount();
-    RunResult result = reader.runOne(b);
-    const std::uint64_t compiles_after = compileWorkloadCount();
-
-    ASSERT_TRUE(result.status.ok()) << result.status.toString();
-    EXPECT_FALSE(result.resumed);
-    EXPECT_EQ(result.engine.insts, b.maxInsts);
-    EXPECT_EQ(compiles_after - compiles_before, 1u);
-
-    // An equivalent fresh run matches: the failed load leaked no
-    // state into the measured run.
-    RunSpec fresh = b;
-    fresh.resumePath.clear();
-    RunResult clean = SweepRunner().runOne(fresh);
-    EXPECT_EQ(result.engine, clean.engine);
-
-    std::remove(path_a.c_str());
-    std::remove(path_b.c_str());
-}
-
-TEST(SweepCheckpoint, DamagedResumeFileFailsTheCell)
-{
-    const std::string base = tempPath("damaged.ckpt");
-    RunSpec spec;
-    spec.workload = "bsort";
-    spec.maxInsts = 6000;
-    spec.resumePath = base;
-    const std::string path =
-        derivedCheckpointPath(base, specFingerprint(spec));
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << "this is not a checkpoint";
-    }
-    SweepRunner runner;
-    RunResult result = runner.runOne(spec);
-    EXPECT_FALSE(result.status.ok());
-    // Damage is an error, not a silent fresh restart.
-    EXPECT_NE(result.status.code(), StatusCode::IoError);
-    EXPECT_NE(result.status.code(), StatusCode::InvalidArgument);
-    std::remove(path.c_str());
-}
-
-TEST(SweepCheckpoint, ResumeMatchesUninterruptedRun)
-{
-    // End-to-end through the sweep layer: run half the budget with
-    // checkpoints, resume to the full budget, compare against one
-    // uninterrupted run.
-    const std::string base = tempPath("split.ckpt");
-    RunSpec half;
-    half.workload = "interp";
-    half.maxInsts = 10000;
-    half.checkpointEvery = 5000;
-    half.checkpointPath = base;
-    SweepRunner runner(SweepRunner::Config{1, 0});
-    ASSERT_TRUE(runner.runOne(half).status.ok());
-
-    RunSpec full = half;
-    full.maxInsts = 20000;
-    full.resumePath = base;
-    // Same behaviour fingerprint is required to find the file, and
-    // maxInsts is part of it - so resume across budgets goes through
-    // an explicit alias: the checkpoint was written by the half spec.
-    const std::string half_path =
-        derivedCheckpointPath(base, specFingerprint(half));
-    const std::string full_path =
-        derivedCheckpointPath(base, specFingerprint(full));
-    copyFile(half_path, full_path);
-    RunResult resumed = runner.runOne(full);
-    ASSERT_TRUE(resumed.status.ok()) << resumed.status.toString();
-    EXPECT_TRUE(resumed.resumed);
-
-    RunSpec straight = full;
-    straight.resumePath.clear();
-    straight.checkpointEvery = 0;
-    RunResult uninterrupted = runner.runOne(straight);
-    EXPECT_EQ(resumed.engine, uninterrupted.engine);
-
-    std::remove(half_path.c_str());
-    std::remove(full_path.c_str());
-}
-
 // ---------------------------------------------------------------------
-// Robust execution layer: shard filter, retry, watchdog, fallback
-// accounting (the RunSpec robustness knobs).
+// Robust execution layer: shard filter, retry, watchdog (the RunSpec
+// robustness knobs).
 
 TEST(SweepRobustness, ShardsPartitionTheGridDisjointly)
 {
@@ -557,19 +350,74 @@ TEST(SweepRobustness, WatchdogReapsAnOverrunningCell)
     EXPECT_EQ(result.status.message().find("after"), std::string::npos);
 }
 
-TEST(SweepRobustness, ResumeFallbackIsFlaggedAndCounted)
+TEST(SweepRobustness, WatchdogCoversArtifactPhases)
 {
+    // The deadline starts at cell entry: a cell whose workload build
+    // alone overruns it is reaped after the compile phase, before any
+    // instruction runs.
     RunSpec spec;
-    spec.workload = "bsort";
+    spec.workload = "slow-bsort";
+    spec.factory = [](std::uint64_t seed) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        return makeWorkload("bsort", seed);
+    };
     spec.maxInsts = 3000;
-    spec.resumePath = tempPath("never-written.ckpt");
+    spec.watchdogMillis = 10;
     SweepRunner runner(SweepRunner::Config{1, 0});
-    EXPECT_EQ(runner.resumeFallbacks(), 0u);
-    RunResult result = runner.runOne(spec);
-    ASSERT_TRUE(result.status.ok()) << result.status.toString();
-    EXPECT_FALSE(result.resumed);
-    EXPECT_TRUE(result.resumeFallback);
-    EXPECT_EQ(runner.resumeFallbacks(), 1u);
+    EXPECT_EQ(runner.runOne(spec).status.code(),
+              StatusCode::DeadlineExceeded);
+}
+
+TEST(SweepRobustness, HeartbeatSlicingIsUnobservable)
+{
+    // Every sliced cell loop continues exactly where its last slice
+    // stopped: an armed watchdog with a generous deadline and an odd
+    // heartbeat (slices ending mid define-visibility window, mid
+    // region) must reproduce the unsliced run's stats and metrics
+    // bytes, for every mode the driver slices.
+    enum class Kind { Observe, FastTrace, ReferenceTrace };
+    for (Kind kind :
+         {Kind::Observe, Kind::FastTrace, Kind::ReferenceTrace}) {
+        // Observe cells have no engine; fold the observed stream into
+        // a hash so slicing cannot silently skip or repeat an event.
+        auto observed = std::make_shared<std::uint64_t>(0);
+        RunSpec spec;
+        spec.workload = "interp";
+        spec.maxInsts = 60000;
+        spec.engine.useSfpf = true;
+        spec.engine.usePgu = true;
+        spec.captureMetrics = true;
+        spec.fastReplay = kind == Kind::FastTrace;
+        if (kind == Kind::Observe) {
+            spec.mode = RunMode::Observe;
+            spec.observe = [observed](const DynInst &dyn) {
+                *observed = *observed * 0x100000001b3ull ^
+                    (dyn.pc * 2u + (dyn.taken ? 1u : 0u));
+            };
+        }
+
+        SweepRunner runner(SweepRunner::Config{1, 0});
+        const RunResult plain = runner.runOne(spec);
+        ASSERT_TRUE(plain.status.ok()) << plain.status.toString();
+        const std::uint64_t plain_observed = *observed;
+        ASSERT_FALSE(plain.metricsJson.empty());
+
+        for (std::uint64_t heartbeat : {7ull, 4097ull}) {
+            *observed = 0;
+            RunSpec sliced = spec;
+            sliced.watchdogMillis = 600000;
+            sliced.heartbeatInsts = heartbeat;
+            const RunResult r = runner.runOne(sliced);
+            ASSERT_TRUE(r.status.ok()) << r.status.toString();
+            EXPECT_EQ(r.engine, plain.engine) << "heartbeat " << heartbeat;
+            EXPECT_EQ(r.profile, plain.profile)
+                << "heartbeat " << heartbeat;
+            EXPECT_EQ(r.pguBits, plain.pguBits);
+            EXPECT_EQ(r.metricsJson, plain.metricsJson)
+                << "heartbeat " << heartbeat;
+            EXPECT_EQ(*observed, plain_observed);
+        }
+    }
 }
 
 TEST(SweepRobustness, CapturedMetricsMatchExportedFile)

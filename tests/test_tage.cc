@@ -1,7 +1,7 @@
 /**
  * @file
  * TAGE predictor tests - learning behaviour, folded-history
- * injection, allocation/u-reset mechanics, checkpointing - plus the
+ * injection, allocation/u-reset mechanics - plus the
  * cross-predictor injectHistoryBits contract test: for EVERY factory
  * kind, the word-at-a-time inject must equal the same bits injected
  * one at a time (a bit-order or fold mismatch here would silently
@@ -121,51 +121,6 @@ TEST(Tage, UBitResetFiresAndIsCounted)
     // Random outcomes over many PCs must also have exercised the
     // allocation path.
     EXPECT_GT(stats.value("pred.allocations"), 0u);
-}
-
-TEST(Tage, CheckpointRoundTripsExactly)
-{
-    TagePredictor original(TageConfig{});
-    Rng rng(17);
-    for (int i = 0; i < 3000; ++i) {
-        std::uint32_t pc =
-            static_cast<std::uint32_t>(rng.below(128)) * 4;
-        original.predictAndUpdate(pc, rng.chance(0.4));
-        if (rng.chance(0.2))
-            original.injectHistoryBit(rng.chance(0.5));
-    }
-
-    std::stringstream buf;
-    StateSink sink(buf);
-    original.saveState(sink);
-    TagePredictor restored(TageConfig{});
-    StateSource src(buf);
-    ASSERT_TRUE(restored.loadState(src).ok());
-    EXPECT_EQ(snapshotState(original), snapshotState(restored));
-
-    // The two must stay in lockstep after the restore point.
-    for (int i = 0; i < 1000; ++i) {
-        std::uint32_t pc =
-            static_cast<std::uint32_t>(rng.below(128)) * 4;
-        bool taken = rng.chance(0.4);
-        ASSERT_EQ(original.predictAndUpdate(pc, taken),
-                  restored.predictAndUpdate(pc, taken));
-    }
-    EXPECT_EQ(snapshotState(original), snapshotState(restored));
-}
-
-TEST(Tage, LoadStateRejectsMismatchedGeometry)
-{
-    TagePredictor original(TageConfig{});
-    std::stringstream buf;
-    StateSink sink(buf);
-    original.saveState(sink);
-
-    TageConfig other;
-    other.tableLog2 = 8; // differs from the default 10
-    TagePredictor mismatched(other);
-    StateSource src(buf);
-    EXPECT_FALSE(mismatched.loadState(src).ok());
 }
 
 TEST(Tage, StorageBitsAccountsAllTables)

@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for the util library: RNG, saturating counters, stats,
- * tables, options.
+ * tables, options, warn-once logging.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "util/logging.hh"
 #include "util/options.hh"
 #include "util/rng.hh"
 #include "util/sat_counter.hh"
@@ -231,6 +233,27 @@ TEST(Table, CsvOutput)
     std::ostringstream os;
     t.printCsv(os);
     EXPECT_EQ(os.str(), "a,b\n1,2\n");
+}
+
+TEST(Logging, WarnOnceSaysEachMessageOnceAndCountsRepeats)
+{
+    // Every sweep cell builds its own predictor, so a per-build
+    // warning would repeat once per cell; warn_once keeps the first
+    // and counts the rest for the one-line summary at exit.
+    const std::uint64_t before = suppressedWarnings();
+    ::testing::internal::CaptureStderr();
+    for (int i = 0; i < 3; ++i)
+        pabp_warn_once("warn-once probe A");
+    pabp_warn_once("warn-once probe B");
+    const std::string err = ::testing::internal::GetCapturedStderr();
+
+    std::size_t a_lines = 0;
+    for (std::size_t at = err.find("probe A"); at != std::string::npos;
+         at = err.find("probe A", at + 1))
+        ++a_lines;
+    EXPECT_EQ(a_lines, 1u) << err;
+    EXPECT_NE(err.find("probe B"), std::string::npos) << err;
+    EXPECT_EQ(suppressedWarnings() - before, 2u);
 }
 
 TEST(Options, DefaultsAndOverrides)

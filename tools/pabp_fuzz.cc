@@ -14,7 +14,7 @@
  *                                          emit the winners as .pabp
  *
  * Each mode runs the five differential oracles (if-conversion,
- * emulator-vs-pipeline, reference-vs-fast replay, checkpoint/resume,
+ * emulator-vs-pipeline, reference-vs-fast replay, split replay,
  * corrupted-trace robustness) plus the sweep-cell cross-check, and
  * minimises every failure to a self-contained reproducer.
  *
@@ -60,7 +60,7 @@ declareOptions()
     opts.declare("shrink-budget", "200",
                  "max candidate evaluations per minimisation");
     opts.declare("scratch-dir", ".",
-                 "directory for checkpoint scratch files");
+                 "directory for journal scratch files");
     opts.declare("check-harness", "false",
                  "self-check: re-introduce the PR-4 cursor-clamp bug "
                  "and verify it is caught and minimised to <= 20 "
@@ -68,7 +68,7 @@ declareOptions()
     opts.declare("inject-clamp-bug", "false",
                  "testing hook: run replay/campaign modes with the "
                  "PR-4 cursor-clamp bug injected (forces the "
-                 "checkpoint oracle to diverge, exit 1)");
+                 "split oracle to diverge, exit 1)");
     opts.declare("mine", "",
                  "adversarial mining mode: hill-climb generator knobs "
                  "under the named scoring strategy "

@@ -242,8 +242,7 @@ main(int argc, char **argv)
               << report.alreadyDone << ", executed " << report.executed
               << ", committed " << report.committed << "\n"
               << "  retried " << report.retried << ", quarantined "
-              << report.quarantined << ", resume fallbacks "
-              << report.resumeFallbacks
+              << report.quarantined
               << (report.salvagedTail ? ", salvaged torn tail" : "")
               << "\n"
               << (report.drained

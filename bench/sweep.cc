@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <system_error>
 #include <thread>
@@ -121,6 +122,53 @@ programCacheKey(const RunSpec &spec)
         std::to_string(copt_hash.value());
 }
 
+/** Decoded-trace cache key: recording is deterministic in (program,
+ *  measurement seed, budget), so the same key always yields the same
+ *  events and the trace can be shared read-only like the program. */
+std::string
+traceCacheKey(const RunSpec &spec, std::uint64_t seed)
+{
+    return programCacheKey(spec) + ":" + std::to_string(seed) + ":" +
+        std::to_string(spec.maxInsts) + ":decoded";
+}
+
+/** Predictability-report cache key: the report is a pure function of
+ *  the trace it is computed over. */
+std::string
+reportCacheKey(const RunSpec &spec)
+{
+    return programCacheKey(spec) + ":" + std::to_string(spec.seed) +
+        ":" + std::to_string(spec.maxInsts) + ":predictability";
+}
+
+/** Cells whose fingerprint maps to another shard are skipped. */
+bool
+skippedByShard(const RunSpec &spec)
+{
+    return spec.shard.count > 1 &&
+        shardOf(specFingerprint(spec), spec.shard.count) !=
+        spec.shard.index;
+}
+
+/** Whether a cell gets past building its predictor, and so on to its
+ *  trace lookups (executeSpec fails it with a typed error first). */
+bool
+buildsPredictor(const RunSpec &spec)
+{
+    if (spec.profileConflicts)
+        return spec.predictor == "gshare";
+    return tryMakePredictor(spec.predictor, spec.sizeLog2).ok();
+}
+
+/** What a cell becomes when its code throws: a typed Corrupt status. */
+Status
+unhandledException(const std::exception &e)
+{
+    return Status(StatusCode::Corrupt,
+                  std::string("unhandled exception in sweep cell: ") +
+                      e.what());
+}
+
 /** Build the spec's workload for the given input seed. */
 Expected<Workload>
 materialiseWorkload(const RunSpec &spec, std::uint64_t seed)
@@ -138,6 +186,32 @@ materialiseWorkload(const RunSpec &spec, std::uint64_t seed)
     return makeWorkload(spec.workload, seed);
 }
 
+Expected<std::shared_ptr<const CompiledProgram>>
+buildProgram(const RunSpec &spec)
+{
+    Expected<Workload> wl =
+        materialiseWorkload(spec, resolvedCompileSeed(spec));
+    PABP_TRY(wl.status());
+    CompileOptions copts = spec.compile;
+    copts.ifConvert = spec.ifConvert;
+    return std::make_shared<const CompiledProgram>(
+        compileWorkload(wl.value(), copts));
+}
+
+Expected<std::shared_ptr<const DecodedTrace>>
+buildTrace(const RunSpec &spec, const CompiledProgram &program,
+           std::uint64_t seed)
+{
+    Expected<Workload> wl = materialiseWorkload(spec, seed);
+    PABP_TRY(wl.status());
+    Emulator emu(program.prog);
+    if (wl.value().init)
+        wl.value().init(emu.state());
+    RecordedTrace recorded = recordTrace(emu, spec.maxInsts);
+    return std::make_shared<const DecodedTrace>(
+        DecodedTrace::build(recorded));
+}
+
 /** Wall-clock deadline for one cell attempt (RunSpec::watchdogMillis).
  *  Unarmed (0) deadlines never expire and leave the cell loops
  *  un-sliced. */
@@ -149,6 +223,15 @@ class CellDeadline
           at(std::chrono::steady_clock::now() +
              std::chrono::milliseconds(millis))
     {}
+
+    /** Move the deadline @p spent earlier: a build this cell owns,
+     *  timed where the plan ran it, counts as if built here. */
+    void
+    charge(std::chrono::nanoseconds spent)
+    {
+        if (armed)
+            at -= spent;
+    }
 
     /** Budget slice between checks: the heartbeat grain when armed,
      *  the whole remaining budget when not. */
@@ -480,8 +563,7 @@ metricsFilePath(const std::string &dir, std::uint64_t fingerprint)
 }
 
 SweepRunner::SweepRunner(Config config)
-    : jobs(config.jobs ? config.jobs : defaultThreadCount()),
-      queueCapacity(config.queueCapacity)
+    : jobs(config.jobs ? config.jobs : defaultThreadCount())
 {}
 
 template <typename T, typename Build>
@@ -489,47 +571,42 @@ Expected<std::shared_ptr<const T>>
 SweepRunner::memo(const std::string &key, std::uint64_t *builds,
                   std::uint64_t *hits, Build &&build)
 {
-    std::promise<Artifact> promise;
-    std::shared_future<Artifact> future;
-    bool build_here = false;
-    {
-        std::lock_guard<std::mutex> lock(cacheMtx);
-        auto [it, inserted] = artifacts.try_emplace(key);
-        if (inserted)
-            it->second = promise.get_future().share();
-        future = it->second;
-        build_here = inserted;
-        if (std::uint64_t *counter = inserted ? builds : hits)
-            ++*counter;
+    std::unique_lock<std::mutex> lock(cacheMtx);
+    auto it = artifacts.find(key);
+    if (it == artifacts.end()) {
+        // Built outside the lock, so other keys build concurrently.
+        lock.unlock();
+        Artifact artifact = [&]() -> Artifact {
+            try {
+                Expected<std::shared_ptr<const T>> built = build();
+                if (!built.ok())
+                    return built.status();
+                return std::shared_ptr<const void>(
+                    std::move(built.value()));
+            } catch (const std::exception &e) {
+                return unhandledException(e);
+            }
+        }();
+        lock.lock();
+        it = artifacts.try_emplace(key, Memoised{std::move(artifact), false})
+                 .first;
     }
-    if (build_here) {
-        Expected<std::shared_ptr<const T>> built = build();
-        if (built.ok())
-            promise.set_value(
-                std::shared_ptr<const void>(std::move(built.value())));
-        else
-            promise.set_value(built.status());
+    Memoised &entry = it->second;
+    if (builds && hits) {
+        ++*(entry.claimed ? hits : builds);
+        entry.claimed = true;
     }
-    const Artifact &artifact = future.get();
-    if (!artifact.ok())
-        return artifact.status();
-    return std::static_pointer_cast<const T>(artifact.value());
+    if (!entry.artifact.ok())
+        return entry.artifact.status();
+    return std::static_pointer_cast<const T>(entry.artifact.value());
 }
 
 Expected<SweepRunner::ProgramHandle>
 SweepRunner::compiledFor(const RunSpec &spec)
 {
-    return memo<CompiledProgram>(
-        programCacheKey(spec), &stats.compiles, &stats.hits,
-        [&]() -> Expected<ProgramHandle> {
-            Expected<Workload> wl =
-                materialiseWorkload(spec, resolvedCompileSeed(spec));
-            PABP_TRY(wl.status());
-            CompileOptions copts = spec.compile;
-            copts.ifConvert = spec.ifConvert;
-            return std::make_shared<const CompiledProgram>(
-                compileWorkload(wl.value(), copts));
-        });
+    return memo<CompiledProgram>(programCacheKey(spec), &stats.compiles,
+                                 &stats.hits,
+                                 [&] { return buildProgram(spec); });
 }
 
 Expected<SweepRunner::TraceHandle>
@@ -537,39 +614,21 @@ SweepRunner::decodedFor(const RunSpec &spec,
                         const ProgramHandle &program,
                         std::uint64_t seed)
 {
-    // Recording is deterministic in (program, measurement seed,
-    // budget): the same key always yields the same events, so the
-    // decoded trace can be shared read-only like the program itself.
-    const std::string key = programCacheKey(spec) + ":" +
-        std::to_string(seed) + ":" + std::to_string(spec.maxInsts) +
-        ":decoded";
     return memo<DecodedTrace>(
-        key, &stats.records, &stats.traceHits,
-        [&]() -> Expected<TraceHandle> {
-            Expected<Workload> wl = materialiseWorkload(spec, seed);
-            PABP_TRY(wl.status());
-            Emulator emu(program->prog);
-            if (wl.value().init)
-                wl.value().init(emu.state());
-            RecordedTrace recorded = recordTrace(emu, spec.maxInsts);
-            return std::make_shared<const DecodedTrace>(
-                DecodedTrace::build(recorded));
-        });
+        traceCacheKey(spec, seed), &stats.records, &stats.traceHits,
+        [&] { return buildTrace(spec, *program, seed); });
 }
 
 Expected<SweepRunner::ReportHandle>
 SweepRunner::characterizedFor(const RunSpec &spec,
                               const ProgramHandle &program)
 {
-    // The report is a pure function of (program, measurement seed,
-    // budget), computed over the same decoded trace every replaying
-    // cell of that key consumes. The lookup itself is uncounted; the
-    // trace it needs counts as usual.
-    const std::string key = programCacheKey(spec) + ":" +
-        std::to_string(spec.seed) + ":" +
-        std::to_string(spec.maxInsts) + ":predictability";
+    // Computed over the same decoded trace every replaying cell of
+    // the key consumes. The lookup itself is uncounted; the trace it
+    // needs counts as usual.
     return memo<PredictabilityReport>(
-        key, nullptr, nullptr, [&]() -> Expected<ReportHandle> {
+        reportCacheKey(spec), nullptr, nullptr,
+        [&]() -> Expected<ReportHandle> {
             Expected<TraceHandle> decoded =
                 decodedFor(spec, program, spec.seed);
             PABP_TRY(decoded.status());
@@ -581,7 +640,8 @@ SweepRunner::characterizedFor(const RunSpec &spec,
 }
 
 RunResult
-SweepRunner::executeSpecAttempt(const RunSpec &spec, unsigned attempt)
+SweepRunner::executeSpecAttempt(const RunSpec &spec, unsigned attempt,
+                                BuildCharges &charges)
 {
     if (spec.faultHook) {
         Status injected = spec.faultHook(attempt);
@@ -593,26 +653,21 @@ SweepRunner::executeSpecAttempt(const RunSpec &spec, unsigned attempt)
     }
     RunResult result;
     try {
-        result.status = executeSpec(spec, result);
+        result.status = executeSpec(spec, charges, result);
     } catch (const std::exception &e) {
         result = RunResult();
-        result.status =
-            Status(StatusCode::Corrupt,
-                   std::string("unhandled exception in sweep cell: ") +
-                       e.what());
+        result.status = unhandledException(e);
     }
     return result;
 }
 
 RunResult
-SweepRunner::executeSpecGuarded(const RunSpec &spec)
+SweepRunner::executeSpecGuarded(const RunSpec &spec, BuildCharges &charges)
 {
     // Cells owned by another shard are skipped in place: the grid keeps
     // its positional layout (table builders index by position) and the
     // cell reports Ok so reportFailures() stays quiet about it.
-    if (spec.shard.count > 1 &&
-        shardOf(specFingerprint(spec), spec.shard.count) !=
-            spec.shard.index) {
+    if (skippedByShard(spec)) {
         RunResult result;
         result.skipped = true;
         return result;
@@ -621,7 +676,7 @@ SweepRunner::executeSpecGuarded(const RunSpec &spec)
     const unsigned max_attempts = std::max(1u, spec.maxAttempts);
     RunResult result;
     for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-        result = executeSpecAttempt(spec, attempt);
+        result = executeSpecAttempt(spec, attempt, charges);
         result.attempts = attempt;
         if (result.status.ok() ||
             !retryableStatus(result.status.code()) ||
@@ -643,18 +698,25 @@ SweepRunner::executeSpecGuarded(const RunSpec &spec)
 }
 
 Status
-SweepRunner::executeSpec(const RunSpec &spec, RunResult &result)
+SweepRunner::executeSpec(const RunSpec &spec, BuildCharges &charges,
+                         RunResult &result)
 {
-    // Armed at cell entry, so the artifact phases - time blocked on
-    // another worker's build included - count against the deadline.
-    // Timed and multi-context cells run in one shot, bounded by their
-    // instruction budget alone.
-    const CellDeadline deadline(
+    // Armed at cell entry. Timed and multi-context cells run in one
+    // shot, bounded by their instruction budget alone.
+    CellDeadline deadline(
         spec, spec.mode == RunMode::Timed || spec.context.contexts > 1
                   ? 0
                   : spec.watchdogMillis);
+    // run() built this cell's inputs before it started; each lookup
+    // charges the builds this cell owns, so the artifact phases count
+    // against the deadline as if the cell had built them there.
+    const auto charge = [&](const std::string &key) {
+        if (auto owned = charges.extract(key))
+            deadline.charge(owned.mapped());
+    };
 
     Expected<ProgramHandle> program = compiledFor(spec);
+    charge(programCacheKey(spec));
     PABP_TRY(program.status());
     PABP_TRY(deadline.check());
     const CompiledProgram &cp = *program.value();
@@ -677,6 +739,9 @@ SweepRunner::executeSpec(const RunSpec &spec, RunResult &result)
                           "Trace or Timed cell");
         Expected<ReportHandle> rep =
             characterizedFor(spec, program.value());
+        // The report's build records its trace, so both fall here.
+        charge(reportCacheKey(spec));
+        charge(traceCacheKey(spec, spec.seed));
         PABP_TRY(rep.status());
         PABP_TRY(deadline.check());
         result.predictability = rep.value();
@@ -759,6 +824,7 @@ SweepRunner::executeSpec(const RunSpec &spec, RunResult &result)
     if (spec.fastReplay) {
         Expected<TraceHandle> decoded =
             decodedFor(spec, program.value(), spec.seed);
+        charge(traceCacheKey(spec, spec.seed));
         PABP_TRY(decoded.status());
         PABP_TRY(deadline.check());
         const DecodedTrace &trace = *decoded.value();
@@ -848,28 +914,174 @@ SweepRunner::executeMultiCtx(const RunSpec &spec,
     return finishMultiCtxOutputs(spec, result);
 }
 
+/** An artifact run() builds before the cells that read it. */
+struct SweepRunner::PlannedBuild
+{
+    enum class Kind : std::uint8_t { Program, Trace, Report };
+
+    static constexpr std::size_t none = static_cast<std::size_t>(-1);
+
+    Kind kind;
+    std::string key;
+    std::size_t owner;  ///< its first consumer in submission order
+    std::uint64_t seed; ///< Trace: the measurement seed
+    /** Trace: the report over it, built right after on the same
+     *  worker; none when no cell reads one. */
+    std::size_t then = none;
+    std::chrono::nanoseconds time{0};
+};
+
+/** run()'s plan: every artifact the grid reads that the memo does not
+ *  hold yet, once, in first-appearance order, and the two build phases
+ *  it falls into. */
+struct SweepRunner::Plan
+{
+    std::vector<PlannedBuild> builds;
+    std::vector<std::size_t> programs; ///< phase 1
+    /** Phase 2: traces, each with its report, and reports over traces
+     *  the memo already holds. */
+    std::vector<std::size_t> derived;
+};
+
+SweepRunner::Plan
+SweepRunner::plan(const std::vector<RunSpec> &specs) const
+{
+    using Kind = PlannedBuild::Kind;
+    constexpr std::size_t none = PlannedBuild::none;
+    Plan plan;
+    std::map<std::string, std::size_t> seen; ///< key -> build, or none
+    // Cell @p cell reads @p key: a build the first time, unless the
+    // memo holds it. Returns the new build, or none.
+    const auto read = [&](Kind kind, std::string key, std::size_t cell,
+                          std::uint64_t seed) {
+        auto [it, inserted] = seen.try_emplace(key, none);
+        if (!inserted)
+            return none;
+        {
+            std::lock_guard<std::mutex> lock(cacheMtx);
+            if (artifacts.count(key))
+                return none;
+        }
+        it->second = plan.builds.size();
+        plan.builds.push_back(PlannedBuild{kind, std::move(key), cell, seed});
+        return it->second;
+    };
+
+    // The plan mirrors executeSpec's lookups, so each build's owner is
+    // the cell that builds it in a serial run: a cell reads exactly the
+    // artifacts it would look up, and none past a check that fails it.
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const RunSpec &spec = specs[i];
+        if (skippedByShard(spec))
+            continue;
+        const std::size_t program =
+            read(Kind::Program, programCacheKey(spec), i, 0);
+        if (program != none)
+            plan.programs.push_back(program);
+        const bool single = spec.context.contexts <= 1;
+        if (spec.characterize) {
+            if (spec.mode == RunMode::Observe || !single)
+                continue;
+            const std::string trace_key = traceCacheKey(spec, spec.seed);
+            const std::size_t trace =
+                read(Kind::Trace, trace_key, i, spec.seed);
+            if (trace != none)
+                plan.derived.push_back(trace);
+            const std::size_t report =
+                read(Kind::Report, reportCacheKey(spec), i, spec.seed);
+            if (report != none) {
+                const std::size_t over = seen.at(trace_key);
+                if (over != none)
+                    plan.builds[over].then = report;
+                else
+                    plan.derived.push_back(report);
+            }
+        }
+        if (spec.mode != RunMode::Trace || !spec.fastReplay ||
+            !buildsPredictor(spec))
+            continue;
+        // Context c of a multi-context cell records at seed + c.
+        for (unsigned c = 0; c < std::max(1u, spec.context.contexts); ++c) {
+            const std::size_t trace = read(
+                Kind::Trace, traceCacheKey(spec, spec.seed + c), i,
+                spec.seed + c);
+            if (trace != none)
+                plan.derived.push_back(trace);
+        }
+    }
+    return plan;
+}
+
+void
+SweepRunner::prebuild(PlannedBuild &build, const RunSpec &spec)
+{
+    const auto start = std::chrono::steady_clock::now();
+    // Uncounted lookups: CacheStats count what cells look up, not
+    // what the plan builds. (A report's build counts its own trace
+    // lookup, exactly as when a cell builds the report.)
+    Expected<ProgramHandle> program = memo<CompiledProgram>(
+        programCacheKey(spec), nullptr, nullptr,
+        [&] { return buildProgram(spec); });
+    // A failed program fails its cells at their own program lookup,
+    // before they could read anything built from it.
+    if (build.kind == PlannedBuild::Kind::Trace && program.ok())
+        (void)memo<DecodedTrace>(build.key, nullptr, nullptr, [&] {
+            return buildTrace(spec, *program.value(), build.seed);
+        });
+    if (build.kind == PlannedBuild::Kind::Report && program.ok())
+        (void)characterizedFor(spec, program.value());
+    build.time = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::chrono::steady_clock::now() - start);
+}
+
 std::vector<RunResult>
 SweepRunner::run(const std::vector<RunSpec> &specs)
 {
+    Plan planned = plan(specs);
+
+    // Three barrier phases over one pool - programs, then traces and
+    // reports, then cells - so every build a phase runs has its inputs
+    // already, and no lookup waits on a build in progress.
+    std::optional<ThreadPool> pool;
+    if (jobs > 1 && specs.size() > 1)
+        pool.emplace(static_cast<unsigned>(
+            std::min<std::size_t>(jobs, specs.size())));
+    const auto phase = [&](std::size_t n, const auto &task) {
+        for (std::size_t i = 0; i < n; ++i) {
+            if (pool)
+                pool->submit([&task, i] { task(i); });
+            else
+                task(i);
+        }
+        if (pool)
+            pool->drain();
+    };
+    std::vector<PlannedBuild> &builds = planned.builds;
+    const auto prebuildAt = [&](std::size_t b) {
+        prebuild(builds[b], specs[builds[b].owner]);
+    };
+    phase(planned.programs.size(),
+          [&](std::size_t p) { prebuildAt(planned.programs[p]); });
+    phase(planned.derived.size(), [&](std::size_t d) {
+        for (std::size_t b = planned.derived[d]; b != PlannedBuild::none;
+             b = builds[b].then)
+            prebuildAt(b);
+    });
+
+    std::vector<BuildCharges> charges(specs.size());
+    for (const PlannedBuild &build : builds)
+        charges[build.owner].emplace(build.key, build.time);
     std::vector<RunResult> results(specs.size());
-    if (jobs <= 1 || specs.size() <= 1) {
-        for (std::size_t i = 0; i < specs.size(); ++i)
-            results[i] = executeSpecGuarded(specs[i]);
-        return results;
-    }
-    ThreadPool pool(jobs, queueCapacity);
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        pool.submit([this, &specs, &results, i] {
-            results[i] = executeSpecGuarded(specs[i]);
-        });
-    pool.drain();
+    phase(specs.size(), [&](std::size_t i) {
+        results[i] = executeSpecGuarded(specs[i], charges[i]);
+    });
     return results;
 }
 
 RunResult
 SweepRunner::runOne(const RunSpec &spec)
 {
-    return executeSpecGuarded(spec);
+    return run({spec})[0];
 }
 
 SweepRunner::CacheStats

@@ -15,10 +15,15 @@
  *  - every piece of mutable simulation state (Emulator, predictor,
  *    PredictionEngine, Pipeline, workload init closures, Rng streams)
  *    is constructed per run and touched by exactly one worker;
- *  - compiled programs are shared across runs strictly read-only,
- *    through a cache keyed by (workload id, compile-seed, compile
- *    options fingerprint) - a sweep that varies only the predictor
- *    side compiles each workload once.
+ *  - compiled programs, decoded traces and predictability reports are
+ *    shared across runs strictly read-only, each keyed by everything
+ *    that determines its bytes - a sweep that varies only the
+ *    predictor side compiles and records each workload once.
+ *
+ * Scheduling: run() plans before it runs. It lists every artifact
+ * the grid reads and builds each distinct one once, in parallel
+ * phases - programs, then traces and reports - before any cell runs,
+ * so no lookup ever waits on another worker's build in progress.
  *
  * Failure contract: a cell that cannot run (unknown predictor or
  * workload, overrun watchdog, leaked exception) fails THAT CELL
@@ -29,9 +34,9 @@
 #ifndef PABP_BENCH_SWEEP_HH
 #define PABP_BENCH_SWEEP_HH
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -225,14 +230,20 @@ struct RunSpec
     /**
      * Per-attempt wall-clock watchdog, milliseconds; 0 = off. The
      * deadline starts at cell entry and is checked after each
-     * artifact phase (compile, record/decode, characterize - time
-     * spent waiting on another worker's build included) and every
+     * artifact phase (compile, record/decode, characterize) and every
      * @ref heartbeatInsts instructions of the run, so a cell stuck
      * in a pathological configuration (or a hung Observe closure) is
      * reaped with StatusCode::DeadlineExceeded instead of stalling
-     * its worker forever. Covers single-context Trace and Observe
-     * cells; Timed and multi-context cells run in one shot and are
-     * bounded by their instruction budget alone.
+     * its worker forever. Artifacts are built before the cells that
+     * read them; each one's build time is charged to its first
+     * consumer in submission order - the cell that builds it in a
+     * serial run - at that cell's lookup, so the same cell pays for
+     * each build at every --jobs (the build times themselves still
+     * vary with machine load). The plan cannot foresee a reap: a
+     * cell reaped before a later lookup still owns that build, and
+     * its time goes uncharged. Covers single-context Trace and
+     * Observe cells; Timed and multi-context cells run in one shot
+     * and are bounded by their instruction budget alone.
      */
     std::uint32_t watchdogMillis = 0;
     /** Instructions between watchdog checks (the heartbeat grain).
@@ -318,8 +329,6 @@ class SweepRunner
         /** Worker threads; 0 = hardware concurrency, 1 = run the
          *  grid inline on the calling thread (strictly serial). */
         unsigned jobs = 0;
-        /** Bounded work-queue depth; 0 = 2x workers. */
-        std::size_t queueCapacity = 0;
     };
 
     struct CacheStats
@@ -336,7 +345,8 @@ class SweepRunner
     /** Run every spec; results match @p specs index for index. */
     std::vector<RunResult> run(const std::vector<RunSpec> &specs);
 
-    /** Execute one spec on the calling thread (cache still applies). */
+    /** run({spec})[0]: one spec on the calling thread (the artifact
+     *  memo still applies). */
     RunResult runOne(const RunSpec &spec);
 
     CacheStats cacheStats() const;
@@ -350,20 +360,46 @@ class SweepRunner
      *  the memo() caller knows the concrete type its key names. */
     using Artifact = Expected<std::shared_ptr<const void>>;
 
+    /** Build time of each artifact a cell is the first consumer of,
+     *  by memo key. The cell's lookup of the key charges it to the
+     *  cell's deadline, once, however many attempts the cell takes. */
+    using BuildCharges = std::map<std::string, std::chrono::nanoseconds>;
+
+    /** An artifact run() builds before the cells that read it. */
+    struct PlannedBuild;
+    /**
+     * run()'s plan, one walk over the specs: every artifact the grid
+     * reads that the memo does not hold yet, once per distinct key,
+     * owned by its first consumer in submission order. Programs form
+     * the first build phase; traces, each followed by the report over
+     * it, the second.
+     */
+    struct Plan;
+
+    Plan plan(const std::vector<RunSpec> &specs) const;
+    /** Build one planned artifact (and the program it is built from)
+     *  into the memo, timing it for its owner's watchdog. */
+    void prebuild(PlannedBuild &build, const RunSpec &spec);
+
     /** Run one cell, filling @p result; the return is its status. */
-    Status executeSpec(const RunSpec &spec, RunResult &result);
+    Status executeSpec(const RunSpec &spec, BuildCharges &charges,
+                       RunResult &result);
     /** One try: fault hook, then executeSpec under the exception
      *  backstop. */
-    RunResult executeSpecAttempt(const RunSpec &spec, unsigned attempt);
+    RunResult executeSpecAttempt(const RunSpec &spec, unsigned attempt,
+                                 BuildCharges &charges);
     /** Shard filter + bounded retry loop around executeSpecAttempt. */
-    RunResult executeSpecGuarded(const RunSpec &spec);
+    RunResult executeSpecGuarded(const RunSpec &spec,
+                                 BuildCharges &charges);
+
     /**
-     * The artifact memo behind compiledFor/decodedFor/characterizedFor:
-     * the first requester of @p key runs @p build, everyone else
-     * blocks on the shared future and receives the same immutable
-     * artifact - or the builder's typed error. @p builds / @p hits
-     * (either may be null) count the two outcomes in CacheStats.
-     * Defined in sweep.cc, its only user.
+     * The artifact memo behind compiledFor/decodedFor/characterizedFor
+     * and prebuild(): returns @p key's immutable artifact - or its
+     * builder's typed error, a throw included - running @p build first
+     * if no one has. The first counted lookup of a key counts in
+     * @p builds, every later one in @p hits (both null: uncounted),
+     * so the CacheStats counts do not depend on which worker built
+     * what. Defined in sweep.cc, its only user.
      */
     template <typename T, typename Build>
     Expected<std::shared_ptr<const T>> memo(const std::string &key,
@@ -393,11 +429,18 @@ class SweepRunner
                            BranchPredictor &pred,
                            GSharePredictor *gshare, RunResult &result);
 
+    /** A memo entry: the artifact, and whether a counted lookup has
+     *  claimed its build count yet. */
+    struct Memoised
+    {
+        Artifact artifact;
+        bool claimed = false;
+    };
+
     unsigned jobs;
-    std::size_t queueCapacity;
 
     mutable std::mutex cacheMtx;
-    std::map<std::string, std::shared_future<Artifact>> artifacts;
+    std::map<std::string, Memoised> artifacts;
     CacheStats stats;
 };
 

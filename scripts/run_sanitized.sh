@@ -76,8 +76,10 @@ if [ "${PABP_SKIP_TSAN:-0}" != "1" ]; then
     # threads and share the per-context decoded traces through the
     # same cache.
     # 'Metrics' also catches the characterized-cell byte-identity
-    # suite: predictability reports are computed once per program in
-    # a promise/shared_future cache that sweep workers race on.
+    # suite: predictability reports are built once per trace by the
+    # sweep's artifact schedule and read by cells on other workers.
+    # 'Sweep' covers the SweepSchedule tests too: artifacts built on
+    # one worker and read by cells on others, at jobs 2-8.
     ctest --test-dir "$TSAN_DIR" --output-on-failure \
         -R 'ThreadPool|Sweep|Stats|Metrics|Journal|FastReplay|MultiCtx|Predictability'
 fi

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <ostream>
+#include <string>
+#include <string_view>
 
 #include "bpred/factory.hh"
 #include "core/predictability.hh"
@@ -19,6 +21,18 @@ constexpr std::size_t miningMemWords = 1u << 16;
 /** Too few dynamic conditional branches to characterize: the entropy
  *  estimate would be all warm-up noise. */
 constexpr std::uint64_t minScoredBranches = 256;
+/** How scoreCase's too-few-branches status ends. */
+constexpr std::string_view notScorable = "; not scorable";
+
+/** Whether scoreCase failed only because the candidate has too few
+ *  dynamic conditional branches - the one failure a climb step's own
+ *  mutation can cause. */
+bool
+tooFewBranches(const Status &status)
+{
+    return status.code() == StatusCode::InvalidArgument &&
+        status.message().ends_with(notScorable);
+}
 
 std::uint64_t
 mixMine(std::uint64_t seed, std::uint64_t stream)
@@ -86,8 +100,8 @@ scoreCase(const FuzzCase &fuzz_case, const RunEnv &env,
                       "candidate has only " +
                           std::to_string(rep.occurrences) +
                           " dynamic conditional branches (want >= " +
-                          std::to_string(minScoredBranches) +
-                          "); not scorable");
+                          std::to_string(minScoredBranches) + ")" +
+                          std::string(notScorable));
 
     // Baseline engine: techniques off, targets modelled, otherwise
     // the default EngineConfig - the same cell configuration the
@@ -282,6 +296,15 @@ runMiningCampaign(const MiningConfig &cfg, const RunEnv &env,
             Expected<MiningScore> s =
                 scoreCase(cand, env, cfg.strategy);
             ++result.casesScored;
+            if (!s.ok() && tooFewBranches(s.status())) {
+                // The mutated candidate runs too few branches to
+                // score: it loses, like a low score.
+                ++result.unscorableSteps;
+                log << "MINE seed " << seed << " step " << step
+                    << ": candidate rejected, not scorable: "
+                    << s.status().toString() << "\n";
+                continue;
+            }
             if (!s.ok()) {
                 ++result.scorerFailures;
                 log << "MINE seed " << seed << " step " << step
@@ -341,6 +364,7 @@ runMiningCampaign(const MiningConfig &cfg, const RunEnv &env,
 
     log << "mining: " << result.casesScored << " candidate(s), "
         << result.scorerFailures << " scorer failure(s), "
+        << result.unscorableSteps << " unscorable step(s), "
         << result.oracleFailures << " oracle failure(s), "
         << result.top.size() << " emitted winner(s)\n";
     return result;

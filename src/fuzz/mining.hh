@@ -27,12 +27,17 @@
  * ordinary `.pabp` files that replay anywhere.
  *
  * Failure taxonomy matters here (the exit-code contract in
- * tools/pabp_fuzz.cc): a case the *scorer* cannot evaluate (e.g. the
- * generated program has too few dynamic conditional branches to
- * characterize) is a scoring failure - reported distinctly (exit 3)
- * and never quarantined as a correctness failure - while an oracle
- * divergence on a mined case is a real bug (exit 1), exactly as in a
- * plain campaign.
+ * tools/pabp_fuzz.cc): a restart seed the *scorer* cannot evaluate
+ * (the generated program has too few dynamic conditional branches to
+ * characterize, the predictor kind is unknown, or the scorer
+ * self-check failure is injected) is a scoring failure - reported
+ * distinctly (exit 3) and never quarantined as a correctness failure
+ * - while an oracle divergence on a mined case is a real bug
+ * (exit 1), exactly as in a plain campaign. A hill-climb *step* whose
+ * mutated candidate runs too few dynamic conditional branches to
+ * score is neither: it is an ordinary losing candidate, logged and
+ * counted in unscorableSteps. Any other scorer failure on a step is a
+ * scoring failure like a restart's.
  */
 
 #ifndef PABP_FUZZ_MINING_HH
@@ -101,8 +106,13 @@ struct MinedCase
 struct MiningResult
 {
     unsigned casesScored = 0;
-    /** Candidates the scorer could not evaluate (exit-3 path). */
+    /** Candidates the scorer could not evaluate, except climb steps
+     *  with too few branches (exit-3 path). */
     unsigned scorerFailures = 0;
+    /** Hill-climb candidates with too few dynamic conditional
+     *  branches to score: rejected like any losing candidate, not a
+     *  failure. */
+    unsigned unscorableSteps = 0;
     /** Mined cases that failed oracle verification (exit-1 path). */
     unsigned oracleFailures = 0;
     /** Best cases, score-descending (ties: seed ascending). */

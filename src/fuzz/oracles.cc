@@ -547,7 +547,7 @@ oracleSweep(const FuzzCase &c, CaseContext &ctx)
     spec.compile = fuzzCompileOptions(c.gen, true);
     spec.maxInsts = c.maxInsts;
 
-    bench::SweepRunner runner(bench::SweepRunner::Config{1, 0});
+    bench::SweepRunner runner(bench::SweepRunner::Config{1});
     spec.fastReplay = true;
     bench::RunResult fast = runner.runOne(spec);
     spec.fastReplay = false;

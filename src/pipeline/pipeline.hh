@@ -74,6 +74,8 @@ struct PipelineStats
     std::uint64_t rasMisses = 0;
     std::uint64_t mispredictStallCycles = 0;
 
+    bool operator==(const PipelineStats &) const = default;
+
     double
     ipc() const
     {

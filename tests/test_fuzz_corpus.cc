@@ -286,6 +286,35 @@ TEST(FuzzCli, MiningScorerFailureExitsThreeWithoutQuarantine)
     EXPECT_EQ(files, 0u);
 }
 
+TEST(FuzzCli, MiningRejectsUnscorableClimbStepAndExitsZero)
+{
+    // run_experiments.sh's mining stage, verbatim: seed 6's climb
+    // mutates into a candidate with too few dynamic conditional
+    // branches to score. That candidate loses its step like any
+    // lower-scoring one; the campaign itself passes.
+    namespace fs = std::filesystem;
+    const std::string dir =
+        ::testing::TempDir() + "mine-unscorable-step";
+    fs::create_directories(dir);
+    const std::string log = dir + "/mine.log";
+    const std::string cmd = std::string(PABP_FUZZ_BIN) +
+        " --mine low-entropy-gap --runs 2 --seed 5 --mine-steps 6"
+        " --emit-dir " + dir + " --scratch-dir " +
+        ::testing::TempDir() + " > " + log + " 2>&1";
+    const int rc = std::system(cmd.c_str());
+    ASSERT_NE(rc, -1);
+    EXPECT_EQ(WEXITSTATUS(rc), 0);
+    std::ifstream in(log);
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_NE(text.str().find("step 2: candidate rejected, not scorable"),
+              std::string::npos)
+        << text.str();
+    EXPECT_NE(text.str().find(" 0 scorer failure(s), 1 unscorable step(s)"),
+              std::string::npos)
+        << text.str();
+}
+
 TEST(FuzzCli, MiningUnknownStrategyExitsTwo)
 {
     EXPECT_EQ(runTool("--mine no-such-strategy"), 2);

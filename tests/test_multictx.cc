@@ -430,7 +430,7 @@ multiCtxSpec(unsigned contexts, bool shared, bool fast)
 
 TEST(MultiCtxSweep, RejectsTimedCells)
 {
-    SweepRunner runner(SweepRunner::Config{1, 0});
+    SweepRunner runner(SweepRunner::Config{1});
 
     RunSpec timed = multiCtxSpec(2, true, true);
     timed.mode = RunMode::Timed;
@@ -449,7 +449,7 @@ TEST(MultiCtxSweep, FastAndReferenceCellsAreByteIdentical)
             ASSERT_EQ(bench::specFingerprint(fast),
                       bench::specFingerprint(ref));
 
-            SweepRunner runner(SweepRunner::Config{1, 0});
+            SweepRunner runner(SweepRunner::Config{1});
             RunResult fr = runner.runOne(fast);
             RunResult rr = runner.runOne(ref);
             ASSERT_TRUE(fr.status.ok()) << fr.status.toString();

@@ -687,8 +687,8 @@ TEST(SweepFastReplay, MetricsFilesAreByteIdenticalToReference)
     std::vector<RunSpec> fast = sweepGrid(fast_dir, true);
     std::vector<RunSpec> ref = sweepGrid(ref_dir, false);
 
-    SweepRunner fast_runner(SweepRunner::Config{1, 0});
-    SweepRunner ref_runner(SweepRunner::Config{1, 0});
+    SweepRunner fast_runner(SweepRunner::Config{1});
+    SweepRunner ref_runner(SweepRunner::Config{1});
     std::vector<RunResult> fast_results = fast_runner.run(fast);
     std::vector<RunResult> ref_results = ref_runner.run(ref);
 

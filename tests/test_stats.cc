@@ -573,7 +573,7 @@ TEST(SweepMetrics, CellWritesVersionedDocument)
 {
     const std::string dir = tempPath("mdir");
     RunSpec spec = metricsSpec(dir);
-    SweepRunner runner(SweepRunner::Config{1, 0});
+    SweepRunner runner(SweepRunner::Config{1});
     RunResult result = runner.runOne(spec);
     ASSERT_TRUE(result.status.ok()) << result.status.toString();
 
@@ -618,7 +618,7 @@ TEST(SweepMetrics, TwoCellExportsDoNotLeakAcrossCells)
     const std::string dir2 = tempPath("cell2");
     std::vector<RunSpec> specs = {metricsSpec(dir1),
                                   metricsSpec(dir2)};
-    SweepRunner runner(SweepRunner::Config{1, 0});
+    SweepRunner runner(SweepRunner::Config{1});
     std::vector<RunResult> results = runner.run(specs);
     ASSERT_TRUE(results[0].status.ok());
     ASSERT_TRUE(results[1].status.ok());
@@ -655,8 +655,8 @@ TEST(SweepMetrics, FilesAreByteIdenticalAcrossJobCounts)
     std::vector<RunSpec> grid1 = grid(dir1);
     std::vector<RunSpec> grid4 = grid(dir4);
 
-    SweepRunner serial(SweepRunner::Config{1, 0});
-    SweepRunner parallel(SweepRunner::Config{4, 0});
+    SweepRunner serial(SweepRunner::Config{1});
+    SweepRunner parallel(SweepRunner::Config{4});
     for (const RunResult &r : serial.run(grid1))
         ASSERT_TRUE(r.status.ok()) << r.status.toString();
     for (const RunResult &r : parallel.run(grid4))
@@ -698,8 +698,8 @@ TEST(SweepMetrics, CharacterizedCellsByteIdenticalAcrossJobCounts)
     std::vector<RunSpec> grid8 = grid(dir8, true);
     std::vector<RunSpec> gridRef = grid(dirRef, false);
 
-    SweepRunner serial(SweepRunner::Config{1, 0});
-    SweepRunner parallel(SweepRunner::Config{8, 0});
+    SweepRunner serial(SweepRunner::Config{1});
+    SweepRunner parallel(SweepRunner::Config{8});
     std::vector<RunResult> serialResults = serial.run(grid1);
     for (const RunResult &r : serialResults)
         ASSERT_TRUE(r.status.ok()) << r.status.toString();
@@ -739,7 +739,7 @@ TEST(SweepMetrics, UnwritableMetricsDirFailsTheCell)
     const std::string blocker = tempPath("blocker");
     { std::ofstream(blocker) << "in the way"; }
     RunSpec spec = metricsSpec(blocker);
-    SweepRunner runner(SweepRunner::Config{1, 0});
+    SweepRunner runner(SweepRunner::Config{1});
     RunResult result = runner.runOne(spec);
     EXPECT_FALSE(result.status.ok());
     EXPECT_EQ(result.status.code(), StatusCode::IoError);

@@ -137,9 +137,9 @@ TEST(SweepRunner, ResultsAreIdenticalAcrossJobCounts)
 {
     const std::vector<RunSpec> specs = smallGrid();
 
-    SweepRunner serial(SweepRunner::Config{1, 0});
-    SweepRunner four(SweepRunner::Config{4, 0});
-    SweepRunner eight(SweepRunner::Config{8, 0});
+    SweepRunner serial(SweepRunner::Config{1});
+    SweepRunner four(SweepRunner::Config{4});
+    SweepRunner eight(SweepRunner::Config{8});
     const std::vector<RunResult> r1 = serial.run(specs);
     const std::vector<RunResult> r4 = four.run(specs);
     const std::vector<RunResult> r8 = eight.run(specs);
@@ -169,7 +169,7 @@ TEST(SweepRunner, CompilesEachProgramOnce)
     // Nine cells over three workloads: three compiles, six cache hits,
     // regardless of thread count.
     const std::vector<RunSpec> specs = smallGrid(15000);
-    SweepRunner runner(SweepRunner::Config{4, 0});
+    SweepRunner runner(SweepRunner::Config{4});
     const std::vector<RunResult> results = runner.run(specs);
     for (const RunResult &result : results)
         ASSERT_TRUE(result.status.ok()) << result.status.toString();
@@ -184,7 +184,7 @@ TEST(SweepRunner, CrossInputSpecsCompileSeparately)
     same.maxInsts = 10000;
     RunSpec cross = same;
     cross.compileSeed = 7; // profile from another input
-    SweepRunner runner(SweepRunner::Config{1, 0});
+    SweepRunner runner(SweepRunner::Config{1});
     const std::vector<RunResult> results = runner.run({same, cross});
     ASSERT_TRUE(results[0].status.ok());
     ASSERT_TRUE(results[1].status.ok());
@@ -212,7 +212,7 @@ TEST(SweepRunner, BadCellFailsTypedWhileGridCompletes)
     specs[1].predictor = "no-such-predictor";
     specs[4].workload = "no-such-workload";
 
-    SweepRunner runner(SweepRunner::Config{4, 0});
+    SweepRunner runner(SweepRunner::Config{4});
     const std::vector<RunResult> results = runner.run(specs);
 
     EXPECT_EQ(results[1].status.code(), StatusCode::NotFound);
@@ -262,14 +262,14 @@ TEST(SweepRobustness, ShardsPartitionTheGridDisjointly)
     // Through the runner: non-owned cells are skipped IN PLACE (grid
     // layout preserved, Ok status); owned cells match the unsharded
     // run bit for bit.
-    SweepRunner plain_runner(SweepRunner::Config{2, 0});
+    SweepRunner plain_runner(SweepRunner::Config{2});
     const std::vector<RunResult> plain = plain_runner.run(grid);
     std::size_t executed_total = 0;
     for (std::uint32_t s = 0; s < shards; ++s) {
         std::vector<RunSpec> sharded = grid;
         for (RunSpec &spec : sharded)
             spec.shard = ShardSpec{s, shards};
-        SweepRunner runner(SweepRunner::Config{2, 0});
+        SweepRunner runner(SweepRunner::Config{2});
         const std::vector<RunResult> results = runner.run(sharded);
         ASSERT_EQ(results.size(), grid.size());
         for (std::size_t i = 0; i < results.size(); ++i) {
@@ -301,7 +301,7 @@ TEST(SweepRobustness, RetryableFailuresAreRetriedBoundedly)
             ? Status(StatusCode::IoError, "injected transient failure")
             : Status();
     };
-    SweepRunner runner(SweepRunner::Config{1, 0});
+    SweepRunner runner(SweepRunner::Config{1});
     RunResult healed = runner.runOne(spec);
     EXPECT_TRUE(healed.status.ok()) << healed.status.toString();
     EXPECT_EQ(healed.attempts, 3u);
@@ -342,7 +342,7 @@ hungObserveSpec()
 
 TEST(SweepRobustness, WatchdogReapsAnOverrunningCell)
 {
-    SweepRunner runner(SweepRunner::Config{1, 0});
+    SweepRunner runner(SweepRunner::Config{1});
     RunResult result = runner.runOne(hungObserveSpec());
     EXPECT_EQ(result.status.code(), StatusCode::DeadlineExceeded);
     // The message is deliberately wall-clock-free: it lands in
@@ -363,7 +363,7 @@ TEST(SweepRobustness, WatchdogCoversArtifactPhases)
     };
     spec.maxInsts = 3000;
     spec.watchdogMillis = 10;
-    SweepRunner runner(SweepRunner::Config{1, 0});
+    SweepRunner runner(SweepRunner::Config{1});
     EXPECT_EQ(runner.runOne(spec).status.code(),
               StatusCode::DeadlineExceeded);
 }
@@ -396,7 +396,7 @@ TEST(SweepRobustness, HeartbeatSlicingIsUnobservable)
             };
         }
 
-        SweepRunner runner(SweepRunner::Config{1, 0});
+        SweepRunner runner(SweepRunner::Config{1});
         const RunResult plain = runner.runOne(spec);
         ASSERT_TRUE(plain.status.ok()) << plain.status.toString();
         const std::uint64_t plain_observed = *observed;
@@ -428,7 +428,7 @@ TEST(SweepRobustness, CapturedMetricsMatchExportedFile)
     spec.maxInsts = 3000;
     spec.metricsDir = dir;
     spec.captureMetrics = true;
-    SweepRunner runner(SweepRunner::Config{1, 0});
+    SweepRunner runner(SweepRunner::Config{1});
     RunResult result = runner.runOne(spec);
     ASSERT_TRUE(result.status.ok()) << result.status.toString();
     ASSERT_FALSE(result.metricsJson.empty());
@@ -467,7 +467,7 @@ TEST(SweepService, DrainsAGridIntoTheJournal)
 {
     const std::string journal = tempPath("drain.pabpj");
     const std::vector<RunSpec> grid = smallGrid(4000);
-    SweepRunner runner(SweepRunner::Config{2, 0});
+    SweepRunner runner(SweepRunner::Config{2});
     SweepService service(runner, serviceConfig(journal));
     Expected<ServiceReport> report = service.runShard(grid);
     ASSERT_TRUE(report.ok()) << report.status().toString();
@@ -496,7 +496,7 @@ TEST(SweepService, KillAndResumeConvergeToIdenticalJournalBytes)
     // Reference: one uninterrupted single-threaded campaign.
     const std::string clean = tempPath("clean.pabpj");
     {
-        SweepRunner runner(SweepRunner::Config{1, 0});
+        SweepRunner runner(SweepRunner::Config{1});
         SweepService service(runner, serviceConfig(clean));
         Expected<ServiceReport> report = service.runShard(grid);
         ASSERT_TRUE(report.ok()) << report.status().toString();
@@ -509,7 +509,7 @@ TEST(SweepService, KillAndResumeConvergeToIdenticalJournalBytes)
     const std::string bumpy = tempPath("bumpy.pabpj");
     const std::uint64_t stops[] = {2, 3, 0};
     for (std::uint64_t stop : stops) {
-        SweepRunner runner(SweepRunner::Config{stop ? 1u : 8u, 0});
+        SweepRunner runner(SweepRunner::Config{stop ? 1u : 8u});
         ServiceConfig config = serviceConfig(bumpy);
         config.stopAfter = stop;
         SweepService service(runner, config);
@@ -532,7 +532,7 @@ TEST(SweepService, QuarantinesPoisonCellsAndStillDrains)
     };
 
     const std::string journal = tempPath("poison.pabpj");
-    SweepRunner runner(SweepRunner::Config{2, 0});
+    SweepRunner runner(SweepRunner::Config{2});
     SweepService service(runner, serviceConfig(journal));
     Expected<ServiceReport> report = service.runShard(grid);
     ASSERT_TRUE(report.ok()) << report.status().toString();
@@ -568,7 +568,7 @@ TEST(SweepService, WatchdogQuarantineDoesNotStallTheShard)
     grid.push_back(hungObserveSpec());
 
     const std::string journal = tempPath("hung.pabpj");
-    SweepRunner runner(SweepRunner::Config{2, 0});
+    SweepRunner runner(SweepRunner::Config{2});
     SweepService service(runner, serviceConfig(journal));
     Expected<ServiceReport> report = service.runShard(grid);
     ASSERT_TRUE(report.ok()) << report.status().toString();
@@ -600,7 +600,7 @@ TEST(SweepService, ShardJournalsTogetherCoverTheGridExactlyOnce)
                                    ShardSpec{s, shards});
         ServiceConfig config = serviceConfig(journal);
         config.shard = ShardSpec{s, shards};
-        SweepRunner runner(SweepRunner::Config{2, 0});
+        SweepRunner runner(SweepRunner::Config{2});
         SweepService service(runner, config);
         Expected<ServiceReport> report = service.runShard(grid);
         ASSERT_TRUE(report.ok()) << report.status().toString();

@@ -21,10 +21,13 @@
  * Exit status matches the pabp-stats conventions: 0 = all oracles
  * agreed, 1 = a divergence was found (reproducers printed and, with
  * --emit-dir, written), 2 = usage or input error. The mining mode
- * adds exit 3: the predictability *scorer* failed on a candidate -
+ * adds exit 3: the predictability *scorer* failed on a restart seed -
  * a scoring-infrastructure problem, NOT a correctness bug - so the
  * seed is reported distinctly and never quarantined or emitted as a
- * reproducer. An oracle divergence on a mined case is still exit 1.
+ * reproducer. A mutated hill-climb candidate with too few dynamic
+ * conditional branches to score only loses its step and does not
+ * change the exit status.
+ * An oracle divergence on a mined case is still exit 1.
  */
 
 #include <algorithm>

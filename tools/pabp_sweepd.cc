@@ -215,8 +215,8 @@ main(int argc, char **argv)
         }
     }
 
-    SweepRunner runner(SweepRunner::Config{
-        static_cast<unsigned>(opts.integer("jobs")), 0});
+    SweepRunner runner(
+        SweepRunner::Config{static_cast<unsigned>(opts.integer("jobs"))});
     ServiceConfig config;
     config.journalPath =
         deriveShardJournalPath(opts.str("journal"), shard);

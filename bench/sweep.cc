@@ -207,9 +207,8 @@ buildTrace(const RunSpec &spec, const CompiledProgram &program,
     Emulator emu(program.prog);
     if (wl.value().init)
         wl.value().init(emu.state());
-    RecordedTrace recorded = recordTrace(emu, spec.maxInsts);
     return std::make_shared<const DecodedTrace>(
-        DecodedTrace::build(recorded));
+        DecodedTrace::record(emu, spec.maxInsts));
 }
 
 /** Wall-clock deadline for one cell attempt (RunSpec::watchdogMillis).

@@ -7,6 +7,20 @@
 
 namespace pabp {
 
+namespace {
+
+/** Heap order for VictimHeap: true when @p a is evicted after @p b
+ *  (more observations, or as many and a lower key), so the heap top
+ *  is the next victim. */
+template <typename Entry>
+bool
+evictsLater(const Entry &a, const Entry &b)
+{
+    return a.count > b.count || (a.count == b.count && a.key < b.key);
+}
+
+} // namespace
+
 double
 binaryEntropy(double p)
 {
@@ -45,6 +59,32 @@ PredictabilityAnalyzer::PredictabilityAnalyzer(PredictabilityConfig c)
     pabp_assert(validateConfig(cfg).ok());
 }
 
+void
+PredictabilityAnalyzer::VictimHeap::push(std::uint64_t count,
+                                         std::uint32_t key)
+{
+    heap.push_back(Entry{count, key});
+    std::push_heap(heap.begin(), heap.end(), evictsLater<Entry>);
+}
+
+template <typename LiveCount>
+std::uint32_t
+PredictabilityAnalyzer::VictimHeap::popVictim(LiveCount live)
+{
+    for (;;) {
+        std::pop_heap(heap.begin(), heap.end(), evictsLater<Entry>);
+        Entry &top = heap.back();
+        const std::uint64_t now = live(top.key);
+        if (now == top.count) {
+            const std::uint32_t key = top.key;
+            heap.pop_back();
+            return key;
+        }
+        top.count = now;
+        std::push_heap(heap.begin(), heap.end(), evictsLater<Entry>);
+    }
+}
+
 PredictabilityAnalyzer::PcState &
 PredictabilityAnalyzer::stateFor(std::uint32_t pc)
 {
@@ -57,15 +97,10 @@ PredictabilityAnalyzer::stateFor(std::uint32_t pc)
         // remainder - the same deterministic policy shape as
         // BranchProfile, keyed on occurrences since there is no
         // mispredict notion here.
-        auto victim = table.begin();
-        for (auto cand = table.begin(); cand != table.end(); ++cand) {
-            if (cand->second.occurrences <
-                    victim->second.occurrences ||
-                (cand->second.occurrences ==
-                     victim->second.occurrences &&
-                 cand->first > victim->first))
-                victim = cand;
-        }
+        auto victim = table.find(pcVictims.popVictim(
+            [this](std::uint32_t p) {
+                return table.find(p)->second.occurrences;
+            }));
         evictedBranches += 1;
         evictedOccurrences += victim->second.occurrences;
         evictedTaken += victim->second.taken;
@@ -77,7 +112,72 @@ PredictabilityAnalyzer::stateFor(std::uint32_t pc)
 
     PcState &st = table[pc];
     st.tables.resize(cfg.historyLengths.size());
+    pcVictims.push(0, pc);
     return st;
+}
+
+std::size_t
+PredictabilityAnalyzer::PatternTable::home(std::uint32_t pattern) const
+{
+    // Fibonacci hashing: the top bucketBits of a 64-bit product mix
+    // every history bit into the bucket index.
+    return static_cast<std::size_t>(
+        (pattern * 0x9e3779b97f4a7c15ull) >> (64 - bucketBits));
+}
+
+std::size_t
+PredictabilityAnalyzer::PatternTable::probe(std::uint32_t pattern) const
+{
+    const std::size_t mask = buckets.size() - 1;
+    std::size_t i = home(pattern);
+    while (buckets[i].pattern != pattern &&
+           buckets[i].pattern != freePattern)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+PredictabilityAnalyzer::PatternTable::rehash(unsigned bits)
+{
+    std::vector<PatternCount> old = std::move(buckets);
+    buckets.assign(std::size_t{1} << bits,
+                   PatternCount{freePattern, {0, 0}});
+    bucketBits = bits;
+    for (const PatternCount &e : old)
+        if (e.pattern != freePattern)
+            buckets[probe(e.pattern)] = e;
+}
+
+PredictabilityAnalyzer::PatternCount &
+PredictabilityAnalyzer::PatternTable::insert(std::uint32_t pattern)
+{
+    if ((live + 1) * 2 > buckets.size())
+        rehash(std::max(bucketBits + 1, 4u));
+    live += 1;
+    PatternCount &e = buckets[probe(pattern)];
+    e = PatternCount{pattern, {0, 0}};
+    return e;
+}
+
+void
+PredictabilityAnalyzer::PatternTable::erase(std::size_t hole)
+{
+    // Backward-shift deletion: pull each later entry of the probe run
+    // into the hole unless its home lies cyclically in (hole, j], so
+    // every remaining entry stays reachable from its home.
+    const std::size_t mask = buckets.size() - 1;
+    for (std::size_t j = (hole + 1) & mask;
+         buckets[j].pattern != freePattern; j = (j + 1) & mask) {
+        const std::size_t h = home(buckets[j].pattern);
+        const bool stays = hole <= j ? (hole < h && h <= j)
+                                     : (hole < h || h <= j);
+        if (!stays) {
+            buckets[hole] = buckets[j];
+            hole = j;
+        }
+    }
+    buckets[hole].pattern = freePattern;
+    live -= 1;
 }
 
 void
@@ -85,35 +185,28 @@ PredictabilityAnalyzer::recordPattern(PatternTable &t,
                                       std::uint32_t pattern,
                                       bool taken)
 {
-    const auto find = [&t](std::uint32_t p) {
-        return std::lower_bound(
-            t.counts.begin(), t.counts.end(), p,
-            [](const PatternCount &e, std::uint32_t k) {
-                return e.pattern < k;
-            });
-    };
-    auto it = find(pattern);
-    if (it == t.counts.end() || it->pattern != pattern) {
-        if (t.counts.size() >= cfg.patternCapacity) {
-            // Fold the least-observed pattern (ties: highest
-            // pattern) into the remainder bucket.
-            auto victim = t.counts.begin();
-            for (auto cand = t.counts.begin(); cand != t.counts.end();
-                 ++cand) {
-                const std::uint64_t cn = cand->n[0] + cand->n[1];
-                const std::uint64_t vn = victim->n[0] + victim->n[1];
-                if (cn < vn || (cn == vn && cand->pattern > victim->pattern))
-                    victim = cand;
-            }
-            t.remainder[0] += victim->n[0];
-            t.remainder[1] += victim->n[1];
-            t.evictedPatterns += 1;
-            t.counts.erase(victim);
-            it = find(pattern);
+    if (!t.buckets.empty()) {
+        PatternCount &e = t.buckets[t.probe(pattern)];
+        if (e.pattern == pattern) {
+            e.n[taken ? 1 : 0] += 1;
+            return;
         }
-        it = t.counts.insert(it, PatternCount{pattern, {0, 0}});
     }
-    it->n[taken ? 1 : 0] += 1;
+    if (t.live >= cfg.patternCapacity) {
+        // Fold the least-observed pattern (ties: highest pattern)
+        // into the remainder bucket.
+        const std::size_t victim =
+            t.probe(t.victims.popVictim([&t](std::uint32_t p) {
+                const PatternCount &e = t.buckets[t.probe(p)];
+                return e.n[0] + e.n[1];
+            }));
+        t.remainder[0] += t.buckets[victim].n[0];
+        t.remainder[1] += t.buckets[victim].n[1];
+        t.evictedPatterns += 1;
+        t.erase(victim);
+    }
+    t.insert(pattern).n[taken ? 1 : 0] = 1;
+    t.victims.push(1, pattern);
 }
 
 void
@@ -184,6 +277,7 @@ PredictabilityAnalyzer::report() const
     rep.evictedTransitions = evictedTransitions;
 
     std::uint64_t patternFolds = evictedPatterns;
+    std::vector<PatternCount> counts;
     for (const auto &[pc, st] : table) {
         PredictabilityReport::PerPc out;
         out.occurrences = st.occurrences;
@@ -192,12 +286,20 @@ PredictabilityAnalyzer::report() const
         out.entropy.reserve(st.tables.size());
         out.conditioned.reserve(st.tables.size());
         for (const PatternTable &t : st.tables) {
+            counts.clear();
             std::uint64_t n = t.remainder[0] + t.remainder[1];
-            for (const auto &[pattern, c] : t.counts)
-                n += c[0] + c[1];
+            for (const PatternCount &e : t.buckets) {
+                if (e.pattern == PatternTable::freePattern)
+                    continue;
+                counts.push_back(e);
+                n += e.n[0] + e.n[1];
+            }
+            std::sort(counts.begin(), counts.end(),
+                      [](const PatternCount &a, const PatternCount &b) {
+                          return a.pattern < b.pattern;
+                      });
             out.conditioned.push_back(n);
-            out.entropy.push_back(
-                tableEntropy(t.counts, t.remainder, n));
+            out.entropy.push_back(tableEntropy(counts, t.remainder, n));
             patternFolds += t.evictedPatterns;
         }
         rep.occurrences += st.occurrences;

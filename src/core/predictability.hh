@@ -167,6 +167,34 @@ class PredictabilityAnalyzer
     std::uint64_t observed() const { return total; }
 
   private:
+    /**
+     * Victim index shared by the PC and pattern tables: a lazy
+     * min-heap over (count, key) whose top is the key with the fewest
+     * observations, ties going to the highest key. Counts only grow,
+     * so a stored count is never above its key's live count - it can
+     * be stale, never wrong. popVictim() refreshes a stale top with
+     * its live count until the top is live, which makes it exactly
+     * the victim a linear scan would pick, in amortised O(log n).
+     * Holds one entry per tracked key.
+     */
+    class VictimHeap
+    {
+      public:
+        void push(std::uint64_t count, std::uint32_t key);
+        /** Remove and return the victim; @p live maps a key to its
+         *  live count. The heap must be non-empty. */
+        template <typename LiveCount>
+        std::uint32_t popVictim(LiveCount live);
+
+      private:
+        struct Entry
+        {
+            std::uint64_t count;
+            std::uint32_t key;
+        };
+        std::vector<Entry> heap;
+    };
+
     /** One history pattern's [not-taken, taken] observation counts. */
     struct PatternCount
     {
@@ -176,13 +204,29 @@ class PredictabilityAnalyzer
 
     struct PatternTable
     {
-        /** Sorted by pattern. A flat vector, not a map: the eviction
-         *  scan walks every entry, and contiguous entries keep that
-         *  walk's speed independent of where the heap put them. */
-        std::vector<PatternCount> counts;
+        /** Open-addressed pattern -> counts (linear probing, a
+         *  power-of-two bucket count, at most half full); a free
+         *  bucket holds freePattern, which no history can equal
+         *  (k <= 31). Unordered: report() sorts the live entries so
+         *  the entropy sum keeps its pattern-ascending order. */
+        std::vector<PatternCount> buckets;
+        std::size_t live = 0;
+        unsigned bucketBits = 0;
+        VictimHeap victims;
         /** Folded-pattern remainder bucket. */
         std::array<std::uint64_t, 2> remainder = {0, 0};
         std::uint64_t evictedPatterns = 0;
+
+        static constexpr std::uint32_t freePattern = 0xffffffffu;
+
+        std::size_t home(std::uint32_t pattern) const;
+        /** The bucket holding @p pattern, or a free bucket. */
+        std::size_t probe(std::uint32_t pattern) const;
+        /** Claim a free bucket for @p pattern (absent, room made). */
+        PatternCount &insert(std::uint32_t pattern);
+        /** Free bucket @p hole, keeping every probe run intact. */
+        void erase(std::size_t hole);
+        void rehash(unsigned bits);
     };
 
     struct PcState
@@ -202,6 +246,7 @@ class PredictabilityAnalyzer
 
     PredictabilityConfig cfg;
     std::map<std::uint32_t, PcState> table;
+    VictimHeap pcVictims;
     std::uint64_t total = 0;
     std::uint64_t evictedBranches = 0;
     std::uint64_t evictedOccurrences = 0;

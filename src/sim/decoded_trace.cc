@@ -1,9 +1,11 @@
 #include "sim/decoded_trace.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <span>
 
 #include "util/crc32.hh"
 
@@ -24,8 +26,12 @@ constexpr std::size_t headerCrcSpan = 32;
 /** Bytes of lane data per event: two u32 lanes + five byte lanes. */
 constexpr std::size_t laneBytesPerEvent = 13;
 
-/** Same allocation sanity bound the trace reader applies. */
+/** Same allocation sanity bound the trace reader applies; also caps
+ *  record()'s up-front lane reservation. */
 constexpr std::uint64_t maxDecodedInsts = 1u << 26;
+
+/** Events record() packs, and build() decodes, per lane pass. */
+constexpr std::uint64_t recordBlockEvents = 4096;
 
 std::size_t
 alignUp8(std::size_t v)
@@ -70,36 +76,111 @@ DecodedTrace::bindStore()
     count = store->pcs.size();
 }
 
+namespace {
+
+template <typename F>
+void
+forEachLane(DecodedTrace::Lanes &lanes, F f)
+{
+    f(lanes.pcs);
+    f(lanes.cls);
+    f(lanes.flags);
+    f(lanes.predReg0);
+    f(lanes.predReg1);
+    f(lanes.predVal);
+    f(lanes.nextPcs);
+}
+
+/** Append @p events to every lane: the one place a trace event is
+ *  split into lanes and its class derived, shared by build() and
+ *  record(). Lane by lane, so each loop streams one array. */
+void
+appendEvents(DecodedTrace::Lanes &lanes, const Program &prog,
+             std::span<const RecordedTrace::Event> events)
+{
+    const auto fill = [&events](auto &lane, auto field) {
+        const std::size_t at = lane.size();
+        lane.resize(at + events.size());
+        // A local pointer: byte stores through lane[] could alias the
+        // vector's own pointers and force a reload per element.
+        auto *out = lane.data() + at;
+        for (const RecordedTrace::Event &e : events)
+            *out++ = field(e);
+    };
+    // The one bounds-checked instruction lookup the reference loop
+    // pays per step, hoisted to build time.
+    fill(lanes.cls, [&prog](const RecordedTrace::Event &e) {
+        return static_cast<std::uint8_t>(classify(prog.insts.at(e.pc)));
+    });
+    fill(lanes.pcs, [](const RecordedTrace::Event &e) { return e.pc; });
+    fill(lanes.flags, [](const RecordedTrace::Event &e) { return e.flags; });
+    fill(lanes.predReg0,
+         [](const RecordedTrace::Event &e) { return e.predReg[0]; });
+    fill(lanes.predReg1,
+         [](const RecordedTrace::Event &e) { return e.predReg[1]; });
+    fill(lanes.predVal,
+         [](const RecordedTrace::Event &e) { return e.predVal; });
+    fill(lanes.nextPcs,
+         [](const RecordedTrace::Event &e) { return e.nextPc; });
+}
+
+} // anonymous namespace
+
 DecodedTrace
 DecodedTrace::build(const RecordedTrace &trace)
 {
     DecodedTrace out;
     out.prog = trace.prog;
     out.store = std::make_unique<Lanes>();
+    const std::span<const RecordedTrace::Event> events = trace.events;
+    forEachLane(*out.store,
+                [n = events.size()](auto &lane) { lane.reserve(n); });
+    // Block by block, so each lane pass re-reads cached events.
+    for (std::size_t at = 0; at < events.size(); at += recordBlockEvents)
+        appendEvents(*out.store, out.prog,
+                     events.subspan(at, std::min<std::size_t>(
+                                            recordBlockEvents,
+                                            events.size() - at)));
+    out.bindStore();
+    out.schedCache = std::make_shared<ReplayScheduleCache>();
+    return out;
+}
+
+DecodedTrace
+DecodedTrace::record(Emulator &emu, std::uint64_t max_insts)
+{
+    DecodedTrace out;
+    out.prog = emu.program();
+    out.store = std::make_unique<Lanes>();
     Lanes &lanes = *out.store;
 
-    const std::size_t n = trace.events.size();
-    lanes.pcs.reserve(n);
-    lanes.cls.reserve(n);
-    lanes.flags.reserve(n);
-    lanes.predReg0.reserve(n);
-    lanes.predReg1.reserve(n);
-    lanes.predVal.reserve(n);
-    lanes.nextPcs.reserve(n);
+    // Reserve once for the whole budget, up to the reader's
+    // allocation sanity bound; a larger budget grows past it.
+    const auto reserved = static_cast<std::size_t>(
+        std::min<std::uint64_t>(max_insts, maxDecodedInsts));
+    forEachLane(lanes, [reserved](auto &lane) { lane.reserve(reserved); });
 
-    for (const RecordedTrace::Event &event : trace.events) {
-        // The one bounds-checked instruction lookup the reference
-        // loop pays per step, hoisted to build time.
-        const Inst &inst = out.prog.insts.at(event.pc);
-
-        lanes.pcs.push_back(event.pc);
-        lanes.cls.push_back(static_cast<std::uint8_t>(classify(inst)));
-        lanes.flags.push_back(event.flags);
-        lanes.predReg0.push_back(event.predReg[0]);
-        lanes.predReg1.push_back(event.predReg[1]);
-        lanes.predVal.push_back(event.predVal);
-        lanes.nextPcs.push_back(event.nextPc);
+    // Events are staged a cache-sized block at a time, then appended
+    // lane by lane: one store stream per loop instead of seven.
+    std::vector<RecordedTrace::Event> block(static_cast<std::size_t>(
+        std::min<std::uint64_t>(max_insts, recordBlockEvents)));
+    DynInst dyn;
+    for (std::uint64_t done = 0; done < max_insts;) {
+        const auto want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(block.size(), max_insts - done));
+        std::size_t n = 0;
+        while (n < want && emu.step(dyn))
+            block[n++] = packDynInst(dyn);
+        appendEvents(lanes, out.prog, std::span(block.data(), n));
+        done += n;
+        if (n < want)
+            break; // halted
     }
+
+    // A program that halted short of the budget gives back the
+    // unused reservation rather than holding it for the trace's life.
+    if (lanes.pcs.size() < reserved)
+        forEachLane(lanes, [](auto &lane) { lane.shrink_to_fit(); });
     out.bindStore();
     out.schedCache = std::make_shared<ReplayScheduleCache>();
     return out;

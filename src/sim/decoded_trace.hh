@@ -19,8 +19,9 @@
  *
  * The lanes live behind raw const pointers into one of two backings:
  *
- *  - build(): decodes a RecordedTrace into owned vectors (the
- *    in-memory path every existing caller uses), or
+ *  - build() / record(): owned vectors, decoded from a
+ *    RecordedTrace (file readers, fuzz, mining) or recorded straight
+ *    from an emulator (the sweep's trace builds), or
  *  - mapDecodedTraceFile(): points the lanes straight into a
  *    read-only mmap of a PABPDTF1 file written by
  *    saveDecodedTraceFile(). Opening cost is header + program
@@ -164,7 +165,16 @@ struct DecodedTrace
     /** Decode @p trace into owned in-memory lanes. */
     static DecodedTrace build(const RecordedTrace &trace);
 
-    /** Owned-vector backing for the build() path. */
+    /**
+     * Record up to @p max_insts instructions of @p emu straight into
+     * owned lanes - lane for lane what build(recordTrace(emu,
+     * max_insts)) returns, without the intermediate RecordedTrace or
+     * its decode pass. The lanes are reserved once for the budget; a
+     * program that halts early gets them trimmed to its length.
+     */
+    static DecodedTrace record(Emulator &emu, std::uint64_t max_insts);
+
+    /** Owned-vector backing for the build() / record() paths. */
     struct Lanes
     {
         std::vector<std::uint32_t> pcs;
@@ -177,16 +187,16 @@ struct DecodedTrace
     };
 
     std::size_t count = 0;
-    std::unique_ptr<Lanes> store;      ///< build() backing
+    std::unique_ptr<Lanes> store;      ///< build() / record() backing
     std::unique_ptr<MmapFile> mapping; ///< mapped-file backing
 
     /**
      * Predictor-independent replay schedules derived from this trace
      * (sim/replay_schedule.hh), shared by every engine that batch
      * replays it - a sweep's repeated replays skip the define kernel
-     * after the first pass. Created by build()/mapDecodedTraceFile();
-     * a default-constructed trace has none and the engine simply
-     * never caches.
+     * after the first pass. Created by build(), record() and
+     * mapDecodedTraceFile(); a default-constructed trace has none and
+     * the engine simply never caches.
      */
     std::shared_ptr<ReplayScheduleCache> schedCache;
 

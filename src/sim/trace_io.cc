@@ -109,6 +109,25 @@ RecordedTrace::materialise(std::size_t i) const
     return dyn;
 }
 
+RecordedTrace::Event
+packDynInst(const DynInst &dyn)
+{
+    RecordedTrace::Event event{};
+    event.pc = dyn.pc;
+    event.flags = static_cast<std::uint8_t>(
+        (dyn.guard ? 1 : 0) | (dyn.taken ? 2 : 0) |
+        (dyn.numPredWrites << 2));
+    for (unsigned w = 0; w < dyn.numPredWrites; ++w) {
+        event.predReg[w] = dyn.predWrites[w].reg;
+        if (dyn.predWrites[w].value)
+            event.predVal |= static_cast<std::uint8_t>(1u << w);
+    }
+    if (dyn.cmpRel)
+        event.predVal |= 4;
+    event.nextPc = dyn.nextPc;
+    return event;
+}
+
 RecordedTrace
 recordTrace(Emulator &emu, std::uint64_t max_insts)
 {
@@ -116,22 +135,8 @@ recordTrace(Emulator &emu, std::uint64_t max_insts)
     trace.prog = emu.program();
 
     DynInst dyn;
-    for (std::uint64_t i = 0; i < max_insts && emu.step(dyn); ++i) {
-        RecordedTrace::Event event{};
-        event.pc = dyn.pc;
-        event.flags = static_cast<std::uint8_t>(
-            (dyn.guard ? 1 : 0) | (dyn.taken ? 2 : 0) |
-            (dyn.numPredWrites << 2));
-        for (unsigned w = 0; w < dyn.numPredWrites; ++w) {
-            event.predReg[w] = dyn.predWrites[w].reg;
-            if (dyn.predWrites[w].value)
-                event.predVal |= static_cast<std::uint8_t>(1u << w);
-        }
-        if (dyn.cmpRel)
-            event.predVal |= 4;
-        event.nextPc = dyn.nextPc;
-        trace.events.push_back(event);
-    }
+    for (std::uint64_t i = 0; i < max_insts && emu.step(dyn); ++i)
+        trace.events.push_back(packDynInst(dyn));
     return trace;
 }
 
@@ -348,7 +353,7 @@ readTraceV2(StateSource &src, const TraceReadOptions &opts,
     if (std::memcmp(footer, traceFooter, sizeof(footer)) != 0)
         return salvage_or(Status(StatusCode::Corrupt,
                                  "missing end-of-trace sentinel"));
-    return std::move(trace);
+    return trace;
 }
 
 } // anonymous namespace

@@ -67,6 +67,10 @@ struct RecordedTrace
     DynInst materialise(std::size_t i) const;
 };
 
+/** Pack one executed instruction into its trace event: the one
+ *  place the flags / predReg / predVal layout is written. */
+RecordedTrace::Event packDynInst(const DynInst &dyn);
+
 /** Record up to @p max_insts instructions of @p emu. */
 RecordedTrace recordTrace(Emulator &emu, std::uint64_t max_insts);
 

@@ -199,6 +199,101 @@ TEST(DecodedTraceLanes, ClassLaneMatchesDispatchRules)
 }
 
 // ---------------------------------------------------------------------
+// Recording straight into lanes: DecodedTrace::record must be lane for
+// lane what build(recordTrace(...)) gives, at every budget shape.
+
+Emulator
+startWorkload(const CompiledProgram &cp, const Workload &wl)
+{
+    Emulator emu(cp.prog);
+    if (wl.init)
+        wl.init(emu.state());
+    return emu;
+}
+
+template <typename T>
+void
+expectLane(const T *a, const T *b, std::size_t n, const char *lane)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(a[i], b[i]) << lane << " lane, event " << i;
+}
+
+class DecodedTraceRecord : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(DecodedTraceRecord, LanesMatchBuildOfRecordedTrace)
+{
+    // Past every suite workload's halt (the longest runs ~4M).
+    constexpr std::uint64_t kPastHalt = 8'000'000;
+    Workload wl = makeWorkload(GetParam(), 42);
+    const CompiledProgram cp = compileWorkload(wl, CompileOptions{});
+    for (std::uint64_t n : {std::uint64_t{0}, std::uint64_t{1},
+                            std::uint64_t{4097}, kPastHalt}) {
+        SCOPED_TRACE(n);
+        Emulator a = startWorkload(cp, wl);
+        Emulator b = startWorkload(cp, wl);
+        const DecodedTrace rec = DecodedTrace::record(a, n);
+        const DecodedTrace ref = DecodedTrace::build(recordTrace(b, n));
+
+        ASSERT_EQ(rec.count, ref.count);
+        if (n < kPastHalt)
+            EXPECT_EQ(rec.count, n);
+        else
+            EXPECT_LT(rec.count, n); // the program halted first
+        ASSERT_EQ(rec.prog.name, ref.prog.name);
+        ASSERT_EQ(rec.prog.insts.size(), ref.prog.insts.size());
+        for (std::size_t i = 0; i < rec.prog.insts.size(); ++i) {
+            ASSERT_EQ(encode(rec.prog.insts[i]), encode(ref.prog.insts[i]))
+                << i;
+            ASSERT_EQ(rec.prog.insts[i].regionId,
+                      ref.prog.insts[i].regionId)
+                << i;
+        }
+        expectLane(rec.pcs, ref.pcs, rec.count, "pc");
+        expectLane(rec.cls, ref.cls, rec.count, "class");
+        expectLane(rec.flags, ref.flags, rec.count, "flags");
+        expectLane(rec.predReg0, ref.predReg0, rec.count, "predReg0");
+        expectLane(rec.predReg1, ref.predReg1, rec.count, "predReg1");
+        expectLane(rec.predVal, ref.predVal, rec.count, "predVal");
+        expectLane(rec.nextPcs, ref.nextPcs, rec.count, "nextPc");
+        EXPECT_NE(rec.schedCache, nullptr);
+        EXPECT_FALSE(rec.isMapped());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SuiteWorkloads, DecodedTraceRecord,
+    ::testing::ValuesIn(workloadNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
+
+TEST(DecodedTraceRecordHalt, KeepsNoBudgetSizedLanes)
+{
+    Workload wl = makeWorkload("listwalk", 42);
+    const CompiledProgram cp = compileWorkload(wl, CompileOptions{});
+    Emulator emu = startWorkload(cp, wl);
+    const DecodedTrace rec = DecodedTrace::record(emu, 8'000'000);
+    ASSERT_TRUE(emu.halted());
+    ASSERT_GT(rec.count, 0u);
+    ASSERT_LT(rec.count, 8'000'000u);
+
+    // The budget-sized reservation is given back: each lane holds the
+    // recorded events and no slack, and the lane views point into it.
+    const DecodedTrace::Lanes &lanes = *rec.store;
+    EXPECT_EQ(lanes.pcs.capacity(), rec.count);
+    EXPECT_EQ(lanes.cls.capacity(), rec.count);
+    EXPECT_EQ(lanes.flags.capacity(), rec.count);
+    EXPECT_EQ(lanes.predReg0.capacity(), rec.count);
+    EXPECT_EQ(lanes.predReg1.capacity(), rec.count);
+    EXPECT_EQ(lanes.predVal.capacity(), rec.count);
+    EXPECT_EQ(lanes.nextPcs.capacity(), rec.count);
+    EXPECT_EQ(rec.pcs, lanes.pcs.data());
+    EXPECT_EQ(rec.nextPcs, lanes.nextPcs.data());
+}
+
+// ---------------------------------------------------------------------
 // Equivalence across the predictor axis (the E2 grid): every factory
 // kind, base and fully-armed configs. Covers the devirtualised
 // predictors (gshare, comb, perceptron, tage) and the generic

@@ -4,7 +4,7 @@
  * suite workload once, then replays the identical event stream
  * through the reference loop (replayTrace: materialise a DynInst per
  * event, virtual predict+update) and the fast loop
- * (PredictionEngine::processBatch over the pre-decoded lanes),
+ * (PredictionEngine::processBatch over the same lanes),
  * timing both and HARD-FAILING unless their EngineStats and
  * BranchProfile are bit-identical - a fast path that drifts is not a
  * fast path, it is a different simulator.
@@ -122,11 +122,10 @@ main(int argc, char **argv)
         Emulator rec_emu(cp.prog);
         if (wl.init)
             wl.init(rec_emu.state());
-        const RecordedTrace recorded = recordTrace(rec_emu, steps);
-        const DecodedTrace decoded = DecodedTrace::build(recorded);
+        const DecodedTrace decoded = DecodedTrace::record(rec_emu, steps);
 
-        // Predictor matrix inside the workload loop: the recorded and
-        // decoded traces are predictor-independent and shared.
+        // Predictor matrix inside the workload loop: the trace is
+        // predictor-independent and shared.
         for (const std::string &predictor : predictors)
         for (const Config &config : configs) {
             EngineConfig ecfg;
@@ -139,7 +138,7 @@ main(int argc, char **argv)
                     makePredictor(predictor, size_log2);
                 PredictionEngine engine(*pred, ecfg);
                 auto start = std::chrono::steady_clock::now();
-                replayTrace(recorded, engine, steps);
+                replayTrace(decoded, engine, steps);
                 double elapsed = secondsSince(start);
                 stats = engine.stats();
                 profile = engine.branchProfile();

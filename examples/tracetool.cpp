@@ -1,6 +1,7 @@
 /**
  * @file
- * Trace record/replay/inspect tool built on the sim/trace_io API.
+ * Trace record/replay/inspect tool over PABPDTF1 trace files
+ * (sim/decoded_trace.hh).
  *
  *   tracetool --record=dchain --out=dchain.trace [--steps=1000000]
  *   tracetool --replay=dchain.trace [--predictor=gshare] [--sfpf] [--pgu]
@@ -8,7 +9,8 @@
  *
  * Record once, then sweep predictor configurations over the same
  * dynamic stream without re-emulating - the standard trace-driven
- * methodology, end to end.
+ * methodology, end to end. A damaged file is refused with a typed
+ * error (exit 1); re-record it.
  */
 
 #include <cstdio>
@@ -16,7 +18,7 @@
 
 #include "bpred/factory.hh"
 #include "core/engine.hh"
-#include "sim/trace_io.hh"
+#include "sim/decoded_trace.hh"
 #include "util/logging.hh"
 #include "util/options.hh"
 #include "workloads/workload.hh"
@@ -24,6 +26,15 @@
 using namespace pabp;
 
 namespace {
+
+DecodedTrace
+mapOrDie(const std::string &path)
+{
+    Expected<DecodedTrace> mapped = mapDecodedTraceFile(path);
+    if (!mapped.ok())
+        pabp_fatal(mapped.status().toString());
+    return std::move(mapped.value());
+}
 
 int
 doRecord(const Options &opts)
@@ -38,8 +49,10 @@ doRecord(const Options &opts)
     Emulator emu(cp.prog);
     if (wl.init)
         wl.init(emu.state());
-    RecordedTrace trace = recordTrace(emu, steps);
-    saveTraceFile(trace, out);
+    const DecodedTrace trace = DecodedTrace::record(emu, steps);
+    Status saved = saveDecodedTraceFile(trace, out);
+    if (!saved.ok())
+        pabp_fatal(saved.toString());
     std::printf("recorded %zu events of %s into %s\n", trace.size(),
                 name.c_str(), out.c_str());
     return 0;
@@ -48,19 +61,7 @@ doRecord(const Options &opts)
 int
 doReplay(const Options &opts)
 {
-    TraceReadOptions topts;
-    topts.salvage = opts.flag("salvage");
-    TraceReadInfo tinfo;
-    Expected<RecordedTrace> loaded =
-        tryLoadTraceFile(opts.str("replay"), topts, &tinfo);
-    if (!loaded.ok())
-        pabp_fatal(loaded.status().toString());
-    const RecordedTrace &trace = loaded.value();
-    if (tinfo.salvaged)
-        std::printf("salvaged trace: kept %zu events, dropped %llu\n",
-                    trace.size(),
-                    static_cast<unsigned long long>(
-                        tinfo.eventsDropped));
+    const DecodedTrace trace = mapOrDie(opts.str("replay"));
 
     PredictorPtr pred = makePredictor(
         opts.str("predictor"),
@@ -70,7 +71,7 @@ doReplay(const Options &opts)
     ecfg.usePgu = opts.flag("pgu");
     PredictionEngine engine(*pred, ecfg);
 
-    replayTrace(trace, engine, trace.size());
+    engine.processBatch(trace, 0, trace.size());
 
     const EngineStats &s = engine.stats();
     std::printf("replayed %llu insts on %s (sfpf=%d pgu=%d)\n",
@@ -92,18 +93,18 @@ doReplay(const Options &opts)
 int
 doInspect(const Options &opts)
 {
-    RecordedTrace trace = loadTraceFile(opts.str("inspect"));
+    const DecodedTrace trace = mapOrDie(opts.str("inspect"));
     std::uint64_t branches = 0, taken = 0, guards_false = 0;
     std::uint64_t defines = 0, region_insts = 0;
     for (std::size_t i = 0; i < trace.size(); ++i) {
-        DynInst dyn = trace.materialise(i);
-        if (dyn.inst->isConditionalBranch()) {
+        const Inst &inst = trace.inst(i);
+        if (inst.isConditionalBranch()) {
             ++branches;
-            taken += dyn.taken;
-            guards_false += !dyn.guard;
+            taken += trace.taken(i);
+            guards_false += !trace.guard(i);
         }
-        defines += dyn.inst->writesPredicate();
-        region_insts += dyn.inst->regionId >= 0;
+        defines += inst.writesPredicate();
+        region_insts += inst.regionId >= 0;
     }
     std::printf("trace: %zu events, %zu static instructions\n",
                 trace.size(), trace.prog.size());
@@ -135,8 +136,6 @@ main(int argc, char **argv)
     opts.declare("size-log2", "12", "predictor size for --replay");
     opts.declare("sfpf", "0", "arm the squash filter on replay");
     opts.declare("pgu", "0", "arm predicate global update on replay");
-    opts.declare("salvage", "0",
-                 "recover the valid prefix of a damaged trace");
     if (!opts.parse(argc, argv))
         return 0;
 

@@ -23,11 +23,11 @@ cmake -B "$BUILD_DIR" -G Ninja -DPABP_SANITIZE=ON
 cmake --build "$BUILD_DIR"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-# Fuzz stage under ASan/UBSan (docs/FUZZING.md): the trace- and
-# journal-corruption oracles feed bit-flipped and truncated PABPTRC2 /
-# PABPJRN1 bytes to both the strict and the salvage readers - exactly
-# the inputs where an out-of-bounds read would hide without
-# sanitizers. Fixed seeds keep the stage deterministic; any divergence
+# Fuzz stage under ASan/UBSan (docs/FUZZING.md): the trace-corruption
+# oracle maps bit-flipped and truncated PABPDTF1 files, and the
+# journal-corruption oracle feeds damaged PABPJRN1 bytes to both the
+# strict and the salvage journal readers - exactly the inputs where an
+# out-of-bounds read would hide without sanitizers. Fixed seeds keep the stage deterministic; any divergence
 # or sanitizer report fails.
 FUZZ_RUNS=${FUZZ_RUNS:-25}
 FUZZ_SEED=${FUZZ_SEED:-1}

@@ -912,14 +912,14 @@ runTrace(Emulator &emu, PredictionEngine &engine, std::uint64_t max_insts)
 }
 
 std::uint64_t
-replayTrace(const RecordedTrace &trace, PredictionEngine &engine,
+replayTrace(const DecodedTrace &trace, PredictionEngine &engine,
             std::uint64_t max_insts)
 {
     return replayTraceFrom(trace, engine, 0, max_insts);
 }
 
 std::uint64_t
-replayTraceFrom(const RecordedTrace &trace, PredictionEngine &engine,
+replayTraceFrom(const DecodedTrace &trace, PredictionEngine &engine,
                 std::uint64_t first, std::uint64_t max_insts)
 {
     // Clamp, returning FIRST unchanged: a cursor positioned at

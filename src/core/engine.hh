@@ -25,7 +25,6 @@
 #include "core/sfpf.hh"
 #include "sim/decoded_trace.hh"
 #include "sim/emulator.hh"
-#include "sim/trace_io.hh"
 #include "util/stats.hh"
 
 namespace pabp {
@@ -403,11 +402,14 @@ std::uint64_t runTrace(Emulator &emu, PredictionEngine &engine,
                        std::uint64_t max_insts);
 
 /**
- * Replay a recorded trace through @p engine (record once with
- * recordTrace(), replay against many predictor configurations).
- * Returns the number of events processed.
+ * The reference replay loop: feed events of a recorded trace through
+ * @p engine one materialised DynInst at a time (record once with
+ * DecodedTrace::record(), replay against many predictor
+ * configurations). processBatch() is the fast path; this loop is the
+ * oracle it is checked against. Returns the number of events
+ * processed.
  */
-std::uint64_t replayTrace(const RecordedTrace &trace,
+std::uint64_t replayTrace(const DecodedTrace &trace,
                           PredictionEngine &engine,
                           std::uint64_t max_insts);
 
@@ -419,7 +421,7 @@ std::uint64_t replayTrace(const RecordedTrace &trace,
  * positioned past a (shorter) trace must not be yanked backwards, or
  * the caller's progress bookkeeping would silently re-run events.
  */
-std::uint64_t replayTraceFrom(const RecordedTrace &trace,
+std::uint64_t replayTraceFrom(const DecodedTrace &trace,
                               PredictionEngine &engine,
                               std::uint64_t first,
                               std::uint64_t max_insts);

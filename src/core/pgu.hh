@@ -299,7 +299,7 @@ class PguBatchView
     /**
      * PredicateGlobalUpdate::observe() fed straight from the trace
      * lanes: @p kind is the instruction's buildKinds() byte, @p flags
-     * and @p predVal use the RecordedTrace::Event packing (bit0 guard
+     * and @p predVal use the DecodedTrace lane packing (bit0 guard
      * / bits2-3 numPredWrites; predVal bit0/1 write values, bit2
      * cmpRel). The single-bit configurations append branchlessly
      * (unconditional store into the pre-sized buffer, conditional

@@ -55,7 +55,6 @@
 
 #include "core/h2p.hh"
 #include "sim/decoded_trace.hh"
-#include "sim/trace_io.hh"
 #include "util/metrics.hh"
 #include "util/status.hh"
 
@@ -266,10 +265,6 @@ double binaryEntropy(double p);
  * matching a replay budget so characterization and measurement see
  * the same stream.
  */
-PredictabilityReport
-characterizeTrace(const RecordedTrace &trace,
-                  const PredictabilityConfig &cfg = {},
-                  std::uint64_t max_events = 0);
 PredictabilityReport
 characterizeTrace(const DecodedTrace &trace,
                   const PredictabilityConfig &cfg = {},

@@ -34,7 +34,7 @@ enum class Oracle : unsigned
     Pipeline = 1u << 1,   ///< trace-driven vs pipeline-driven engine
     Replay = 1u << 2,     ///< reference replay vs fast batch replay
     Split = 1u << 3,      ///< replay split at halfway vs straight-through
-    Trace = 1u << 4,      ///< corrupt PABPTRC2: typed error or salvage
+    Trace = 1u << 4,      ///< corrupt PABPDTF1: typed error or intact
     Sweep = 1u << 5,      ///< SweepRunner cell fast vs reference
     Journal = 1u << 6,    ///< corrupt PABPJRN1: typed error or salvage
     MultiCtx = 1u << 7,   ///< interleaved contexts: fast vs reference,

@@ -44,7 +44,7 @@ mixMine(std::uint64_t seed, std::uint64_t stream)
 }
 
 Expected<std::uint64_t>
-replayMispredicts(const RecordedTrace &trace, const FuzzCase &c,
+replayMispredicts(const DecodedTrace &trace, const FuzzCase &c,
                   const EngineConfig &ecfg)
 {
     Expected<PredictorPtr> pred =
@@ -52,7 +52,7 @@ replayMispredicts(const RecordedTrace &trace, const FuzzCase &c,
     if (!pred.ok())
         return pred.status();
     PredictionEngine engine(*pred.value(), ecfg);
-    replayTrace(trace, engine, trace.size());
+    engine.processBatch(trace, 0, trace.size());
     return engine.stats().all.mispredicts;
 }
 
@@ -92,7 +92,10 @@ scoreCase(const FuzzCase &fuzz_case, const RunEnv &env,
     Emulator emu(conv.prog, EmuConfig{miningMemWords, 0});
     if (body.init)
         body.init(emu.state());
-    RecordedTrace trace = recordTrace(emu, fuzz_case.maxInsts);
+    // Recorded and replayed exactly as a fast grid cell does, so the
+    // scorer and a grid cell see the same stream by construction.
+    const DecodedTrace trace =
+        DecodedTrace::record(emu, fuzz_case.maxInsts);
 
     PredictabilityReport rep = characterizeTrace(trace);
     if (rep.occurrences < minScoredBranches)
@@ -114,7 +117,7 @@ scoreCase(const FuzzCase &fuzz_case, const RunEnv &env,
     EngineConfig baseCfg;
     baseCfg.modelTargets = true;
     PredictionEngine base(*basePred.value(), baseCfg);
-    replayTrace(trace, base, trace.size());
+    base.processBatch(trace, 0, trace.size());
 
     EngineConfig bothCfg = baseCfg;
     bothCfg.useSfpf = true;

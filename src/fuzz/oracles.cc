@@ -1,6 +1,8 @@
 #include "fuzz/oracles.hh"
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -10,7 +12,6 @@
 #include "core/multictx.hh"
 #include "pipeline/pipeline.hh"
 #include "sim/decoded_trace.hh"
-#include "sim/trace_io.hh"
 #include "sweep.hh"
 #include "util/journal.hh"
 #include "util/metrics.hh"
@@ -42,9 +43,9 @@ struct CaseContext
 {
     FuzzPrograms progs;
     bool haveTrace = false;
-    RecordedTrace trace; ///< converted program, c.maxInsts budget
+    DecodedTrace trace; ///< converted program, c.maxInsts budget
 
-    const RecordedTrace &
+    const DecodedTrace &
     traceFor(const FuzzCase &c)
     {
         if (!haveTrace) {
@@ -52,12 +53,24 @@ struct CaseContext
                          EmuConfig{oracleMemWords, 0});
             if (progs.body.init)
                 progs.body.init(emu.state());
-            trace = recordTrace(emu, c.maxInsts);
+            trace = DecodedTrace::record(emu, c.maxInsts);
             haveTrace = true;
         }
         return trace;
     }
 };
+
+/** The case's scratch file: named by its generator fingerprint and
+ *  seed, under the run's scratch directory. */
+std::string
+scratchPath(const RunEnv &env, const FuzzCase &c, const char *ext)
+{
+    char fp[17];
+    std::snprintf(fp, sizeof(fp), "%016llx",
+                  static_cast<unsigned long long>(
+                      configFingerprint(c.gen) ^ c.seed));
+    return env.scratchDir + "/pabp-fuzz-" + fp + ext;
+}
 
 Expected<PredictorPtr>
 makeCasePredictor(const FuzzCase &c)
@@ -220,8 +233,8 @@ oraclePipeline(const FuzzCase &c, CaseContext &ctx)
 Status
 oracleReplay(const FuzzCase &c, CaseContext &ctx)
 {
-    const RecordedTrace &trace = ctx.traceFor(c);
-    if (trace.size() == 0)
+    const DecodedTrace &decoded = ctx.traceFor(c);
+    if (decoded.size() == 0)
         return diverged("recorded trace is empty (generator bug)");
 
     Expected<PredictorPtr> predA = makeCasePredictor(c);
@@ -232,9 +245,9 @@ oracleReplay(const FuzzCase &c, CaseContext &ctx)
         return predB.status();
 
     PredictionEngine ref(*predA.value(), c.engine);
-    std::uint64_t refProcessed = replayTrace(trace, ref, trace.size());
+    std::uint64_t refProcessed =
+        replayTrace(decoded, ref, decoded.size());
 
-    DecodedTrace decoded = DecodedTrace::build(trace);
     PredictionEngine fast(*predB.value(), c.engine);
     std::uint64_t fastProcessed =
         fast.processBatch(decoded, 0, decoded.size());
@@ -339,7 +352,7 @@ oracleReplay(const FuzzCase &c, CaseContext &ctx)
 Status
 oracleSplit(const FuzzCase &c, CaseContext &ctx, const RunEnv &env)
 {
-    const RecordedTrace &trace = ctx.traceFor(c);
+    const DecodedTrace &trace = ctx.traceFor(c);
     if (trace.size() == 0)
         return diverged("recorded trace is empty (generator bug)");
 
@@ -347,7 +360,7 @@ oracleSplit(const FuzzCase &c, CaseContext &ctx, const RunEnv &env)
     // self-check: reintroduce the PR-4 clamp bug (a past-the-end
     // cursor yanked back to trace.size()) to prove the oracle and
     // the shrinker catch it.
-    auto replayFrom = [&env](const RecordedTrace &t,
+    auto replayFrom = [&env](const DecodedTrace &t,
                              PredictionEngine &e, std::uint64_t first,
                              std::uint64_t max) -> std::uint64_t {
         if (env.injectClampBug && first >= t.size())
@@ -435,6 +448,29 @@ corrupt(const std::string &bytes, const CorruptSpec &spec)
     return out;
 }
 
+/** The case's own recipe, or a default schedule derived from the
+ *  case seed: single flip, burst of flips, tail truncation, and both
+ *  at once. Shared by the trace and journal oracles. */
+std::vector<CorruptSpec>
+corruptSchedule(const FuzzCase &c, std::size_t size)
+{
+    if (c.corruptFlips > 0 || c.corruptTruncate > 0)
+        return {{c.corruptFlips, c.corruptSeed, c.corruptTruncate}};
+    const std::uint64_t s = c.seed ^ 0x77ace;
+    return {{1, s + 1, 0},
+            {3, s + 2, 0},
+            {0, s + 3, static_cast<unsigned>(1 + size / 8)},
+            {1, s + 4, 7}};
+}
+
+std::string
+describe(const CorruptSpec &spec)
+{
+    return std::to_string(spec.flips) + " flip(s), truncate " +
+        std::to_string(spec.truncate) + ", rng seed " +
+        std::to_string(spec.rngSeed);
+}
+
 bool
 sameProgram(const Program &a, const Program &b)
 {
@@ -446,85 +482,55 @@ sameProgram(const Program &a, const Program &b)
     return true;
 }
 
-Status
-checkCorrupted(const RecordedTrace &original, const std::string &bytes,
-               const CorruptSpec &spec)
+/** Same program and the same bytes in all seven lanes. */
+bool
+sameTrace(const DecodedTrace &a, const DecodedTrace &b)
 {
-    auto describe = [&spec]() {
-        return std::to_string(spec.flips) + " flip(s), truncate " +
-            std::to_string(spec.truncate) + ", rng seed " +
-            std::to_string(spec.rngSeed);
+    const std::size_t n = a.size();
+    if (n != b.size() || !sameProgram(a.prog, b.prog))
+        return false;
+    auto same = [n](const auto *x, const auto *y) {
+        return n == 0 || std::memcmp(x, y, n * sizeof(*x)) == 0;
     };
+    return same(a.pcs, b.pcs) && same(a.nextPcs, b.nextPcs) &&
+        same(a.cls, b.cls) && same(a.flags, b.flags) &&
+        same(a.predReg0, b.predReg0) && same(a.predReg1, b.predReg1) &&
+        same(a.predVal, b.predVal);
+}
 
-    // Strict read: either a typed error or - if the corruption was
-    // somehow undetectable - byte-identical content. Anything else is
-    // silent divergence.
-    {
-        std::istringstream in(bytes);
-        Expected<RecordedTrace> strict = readTrace(in);
-        if (strict.ok()) {
-            if (!sameProgram(strict.value().prog, original.prog) ||
-                strict.value().events != original.events)
-                return diverged("strict read of a corrupted trace "
-                                "returned Ok with DIFFERENT content (" +
-                                describe() + ")");
-        }
-    }
-
-    // Salvage read: a typed error, or a valid prefix of the original
-    // events over an intact program.
-    {
-        std::istringstream in(bytes);
-        TraceReadOptions opts;
-        opts.salvage = true;
-        TraceReadInfo info;
-        Expected<RecordedTrace> salvaged = readTrace(in, opts, &info);
-        if (salvaged.ok()) {
-            const RecordedTrace &s = salvaged.value();
-            if (!sameProgram(s.prog, original.prog))
-                return diverged(
-                    "salvage returned Ok with a corrupted program "
-                    "section (" + describe() + ")");
-            if (s.events.size() > original.events.size())
-                return diverged("salvage returned MORE events than "
-                                "were written (" + describe() + ")");
-            for (std::size_t i = 0; i < s.events.size(); ++i)
-                if (!(s.events[i] == original.events[i]))
-                    return diverged(
-                        "salvaged event " + std::to_string(i) +
-                        " is not a prefix of the original (" +
-                        describe() + ")");
-        }
-    }
+Status
+checkCorrupted(const DecodedTrace &original, const std::string &bytes,
+               const CorruptSpec &spec, const std::string &path)
+{
+    // Mapping the damaged file gives either a typed error or - if the
+    // corruption was somehow undetectable - identical content.
+    // Anything else is silent divergence.
+    PABP_TRY(atomicWriteFile(path, bytes));
+    Expected<DecodedTrace> mapped = mapDecodedTraceFile(path);
+    if (mapped.ok() && !sameTrace(mapped.value(), original))
+        return diverged("mapping a corrupted trace returned Ok with "
+                        "DIFFERENT content (" + describe(spec) + ")");
     return {};
 }
 
 Status
-oracleTrace(const FuzzCase &c, CaseContext &ctx)
+oracleTrace(const FuzzCase &c, CaseContext &ctx, const RunEnv &env)
 {
-    const RecordedTrace &trace = ctx.traceFor(c);
-    std::ostringstream os;
-    writeTrace(trace, os);
-    const std::string bytes = os.str();
+    const DecodedTrace &trace = ctx.traceFor(c);
+    const std::string path = scratchPath(env, c, ".pabpdtf");
+    PABP_TRY(saveDecodedTraceFile(trace, path));
+    std::ostringstream saved;
+    saved << std::ifstream(path, std::ios::binary).rdbuf();
+    const std::string bytes = saved.str();
 
-    std::vector<CorruptSpec> schedule;
-    if (c.corruptFlips > 0 || c.corruptTruncate > 0) {
-        schedule.push_back(
-            {c.corruptFlips, c.corruptSeed, c.corruptTruncate});
-    } else {
-        // Default schedule, derived from the case seed: single flip,
-        // burst of flips, tail truncation, and both at once.
-        std::uint64_t s = c.seed ^ 0x77ace;
-        schedule.push_back({1, s + 1, 0});
-        schedule.push_back({3, s + 2, 0});
-        schedule.push_back(
-            {0, s + 3,
-             static_cast<unsigned>(1 + bytes.size() / 8)});
-        schedule.push_back({1, s + 4, 7});
+    Status verdict;
+    for (const CorruptSpec &spec : corruptSchedule(c, bytes.size())) {
+        verdict = checkCorrupted(trace, corrupt(bytes, spec), spec, path);
+        if (!verdict.ok())
+            break;
     }
-    for (const CorruptSpec &spec : schedule)
-        PABP_TRY(checkCorrupted(trace, corrupt(bytes, spec), spec));
-    return {};
+    std::remove(path.c_str());
+    return verdict;
 }
 
 // ---------------------------------------------------------------------
@@ -615,12 +621,6 @@ checkCorruptedJournal(const std::vector<JournalRecord> &original,
                       const std::string &bytes, const CorruptSpec &spec,
                       const RunEnv &env, const FuzzCase &c)
 {
-    auto describe = [&spec]() {
-        return std::to_string(spec.flips) + " flip(s), truncate " +
-            std::to_string(spec.truncate) + ", rng seed " +
-            std::to_string(spec.rngSeed);
-    };
-
     // Strict read: a typed error, or - if the corruption was
     // undetectable - identical records.
     {
@@ -629,7 +629,7 @@ checkCorruptedJournal(const std::vector<JournalRecord> &original,
         if (strict.ok() && !(strict.value() == original))
             return diverged("strict read of a corrupted journal "
                             "returned Ok with DIFFERENT records (" +
-                            describe() + ")");
+                            describe(spec) + ")");
     }
 
     // Salvage read: a typed error (header damage), or a prefix of
@@ -645,26 +645,21 @@ checkCorruptedJournal(const std::vector<JournalRecord> &original,
             if (s.size() > original.size())
                 return diverged("journal salvage returned MORE "
                                 "records than were written (" +
-                                describe() + ")");
+                                describe(spec) + ")");
             for (std::size_t i = 0; i < s.size(); ++i)
                 if (!(s[i] == original[i]))
                     return diverged(
                         "salvaged journal record " +
                         std::to_string(i) +
                         " is not a prefix of the original (" +
-                        describe() + ")");
+                        describe(spec) + ")");
         }
     }
 
     // Writer adoption: open() on the damaged file either fails with
     // a typed error or truncates to a valid prefix - and a second
     // open sees exactly what the first left behind (idempotence).
-    char fp[17];
-    std::snprintf(fp, sizeof(fp), "%016llx",
-                  static_cast<unsigned long long>(
-                      configFingerprint(c.gen) ^ c.seed));
-    const std::string path =
-        env.scratchDir + "/pabp-fuzz-" + fp + ".pabpj";
+    const std::string path = scratchPath(env, c, ".pabpj");
     PABP_TRY(atomicWriteFile(path, bytes));
     std::vector<JournalRecord> first_seen;
     Expected<JournalWriter> first =
@@ -675,7 +670,7 @@ checkCorruptedJournal(const std::vector<JournalRecord> &original,
         if (first_seen.size() > original.size()) {
             verdict = diverged("JournalWriter::open adopted MORE "
                                "records than were written (" +
-                               describe() + ")");
+                               describe(spec) + ")");
         } else {
             std::vector<JournalRecord> second_seen;
             Expected<JournalWriter> second =
@@ -685,13 +680,13 @@ checkCorruptedJournal(const std::vector<JournalRecord> &original,
                 verdict = diverged(
                     "journal re-open after salvage truncation "
                     "failed: " + second.status().toString() + " (" +
-                    describe() + ")");
+                    describe(spec) + ")");
             } else {
                 second.value().close();
                 if (!(second_seen == first_seen))
                     verdict = diverged(
                         "journal salvage truncation is not "
-                        "idempotent (" + describe() + ")");
+                        "idempotent (" + describe(spec) + ")");
             }
         }
     }
@@ -705,22 +700,7 @@ oracleJournal(const FuzzCase &c, const RunEnv &env)
     std::vector<JournalRecord> records;
     const std::string bytes = synthesizeJournal(c, records);
 
-    std::vector<CorruptSpec> schedule;
-    if (c.corruptFlips > 0 || c.corruptTruncate > 0) {
-        schedule.push_back(
-            {c.corruptFlips, c.corruptSeed, c.corruptTruncate});
-    } else {
-        // Mirror of the trace oracle's default schedule: single flip,
-        // burst, tail truncation, and both at once.
-        std::uint64_t s = c.seed ^ 0x77ace;
-        schedule.push_back({1, s + 1, 0});
-        schedule.push_back({3, s + 2, 0});
-        schedule.push_back(
-            {0, s + 3,
-             static_cast<unsigned>(1 + bytes.size() / 8)});
-        schedule.push_back({1, s + 4, 7});
-    }
-    for (const CorruptSpec &spec : schedule)
+    for (const CorruptSpec &spec : corruptSchedule(c, bytes.size()))
         PABP_TRY(checkCorruptedJournal(records, corrupt(bytes, spec),
                                        spec, env, c));
     return {};
@@ -748,10 +728,9 @@ oracleMultiCtx(const FuzzCase &c, CaseContext &ctx)
     const unsigned n = mcfg.schedule.contexts;
 
     if (n == 1) {
-        const RecordedTrace &trace = ctx.traceFor(c);
-        if (trace.size() == 0)
+        const DecodedTrace &decoded = ctx.traceFor(c);
+        if (decoded.size() == 0)
             return diverged("recorded trace is empty (generator bug)");
-        DecodedTrace decoded = DecodedTrace::build(trace);
 
         Expected<PredictorPtr> predA = makeCasePredictor(c);
         Expected<PredictorPtr> predB = makeCasePredictor(c);
@@ -787,18 +766,16 @@ oracleMultiCtx(const FuzzCase &c, CaseContext &ctx)
     // Context k replays the shared converted program from input seed
     // c.seed + k (the same per-context seeding the sweep uses; the
     // generator's init closure depends only on (seed, dataWindow)).
-    std::vector<RecordedTrace> recorded;
     std::vector<DecodedTrace> decoded;
     for (unsigned k = 0; k < n; ++k) {
         Emulator emu(ctx.progs.converted.prog,
                      EmuConfig{oracleMemWords, 0});
         makeFuzzWorkload(c.seed + k, c.gen).init(emu.state());
-        recorded.push_back(recordTrace(emu, c.maxInsts));
-        if (recorded.back().size() == 0)
+        decoded.push_back(DecodedTrace::record(emu, c.maxInsts));
+        if (decoded.back().size() == 0)
             return diverged("recorded trace for context " +
                             std::to_string(k) +
                             " is empty (generator bug)");
-        decoded.push_back(DecodedTrace::build(recorded.back()));
     }
     std::vector<const DecodedTrace *> lanes;
     for (const DecodedTrace &d : decoded)
@@ -874,7 +851,7 @@ runOracleWith(Oracle oracle, const FuzzCase &c, const RunEnv &env,
       case Oracle::Pipeline: return oraclePipeline(c, ctx);
       case Oracle::Replay: return oracleReplay(c, ctx);
       case Oracle::Split: return oracleSplit(c, ctx, env);
-      case Oracle::Trace: return oracleTrace(c, ctx);
+      case Oracle::Trace: return oracleTrace(c, ctx, env);
       case Oracle::Sweep: return oracleSweep(c, ctx);
       case Oracle::Journal: return oracleJournal(c, env);
       case Oracle::MultiCtx: return oracleMultiCtx(c, ctx);

@@ -19,8 +19,9 @@
  *              engine from the returned cursor - identical stats and
  *              profile to a straight-through run; plus the
  *              past-the-end cursor contract of replayTraceFrom.
- *  trace:      bit-flipped / truncated PABPTRC2 bytes produce a typed
- *              Status or a valid salvage prefix - never a crash, never
+ *  trace:      a bit-flipped / truncated PABPDTF1 file maps to a
+ *              typed Status or to content identical to the original
+ *              (program and all seven lanes) - never a crash, never
  *              silently different events.
  *  sweep:      SweepRunner::runOne on the generated workload agrees
  *              between --fast-replay and the reference cell loop.
@@ -69,7 +70,8 @@ struct CaseOutcome
 /** Environment knobs for a run. */
 struct RunEnv
 {
-    /** Directory for journal scratch files; "." by default. */
+    /** Directory for trace and journal scratch files; "." by
+     *  default. */
     std::string scratchDir = ".";
     /**
      * Regression self-check: re-introduce the PR-4 replayTraceFrom

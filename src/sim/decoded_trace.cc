@@ -26,7 +26,7 @@ constexpr std::size_t headerCrcSpan = 32;
 /** Bytes of lane data per event: two u32 lanes + five byte lanes. */
 constexpr std::size_t laneBytesPerEvent = 13;
 
-/** Same allocation sanity bound the trace reader applies; also caps
+/** Allocation sanity bound on a file's program size; also caps
  *  record()'s up-front lane reservation. */
 constexpr std::uint64_t maxDecodedInsts = 1u << 26;
 
@@ -268,7 +268,7 @@ saveDecodedTraceFile(const DecodedTrace &trace, const std::string &path)
 }
 
 Expected<DecodedTrace>
-mapDecodedTraceFile(const std::string &path, const DecodedMapOptions &opts)
+mapDecodedTraceFile(const std::string &path)
 {
     auto mapped = MmapFile::open(path);
     if (!mapped)
@@ -277,12 +277,15 @@ mapDecodedTraceFile(const std::string &path, const DecodedMapOptions &opts)
 
     const unsigned char *base = file.data();
     const std::size_t size = file.size();
+    // Any file long enough to hold a magic is judged by it first, so
+    // a short file of another format is not misreported as torn.
+    if (size >= sizeof(decodedMagic) &&
+        std::memcmp(base, decodedMagic, sizeof(decodedMagic)) != 0)
+        return Status(StatusCode::BadMagic,
+                      path + ": not a PABPDTF1 trace (bad magic)");
     if (size < headerBytes)
         return Status(StatusCode::Truncated,
                       path + ": shorter than a PABPDTF1 header");
-    if (std::memcmp(base, decodedMagic, 8) != 0)
-        return Status(StatusCode::BadMagic,
-                      path + ": not a decoded-trace file");
 
     std::uint32_t version = 0;
     std::uint64_t numInsts = 0;
@@ -352,35 +355,36 @@ mapDecodedTraceFile(const std::string &path, const DecodedMapOptions &opts)
     out.predVal = out.predReg1 + n;
     out.count = n;
 
-    // Mandatory safety scan: the batch loop indexes the program with
-    // lane pcs unchecked, so an out-of-range pc must be rejected here
-    // no matter what the options say.
+    // The batch loop indexes the program with lane pcs and the
+    // predicate file with the write registers unchecked, and reads at
+    // most two write slots, so every event is validated against the
+    // program before the trace is handed out.
+    Crc32 crc;
+    crc.update(p, n * laneBytesPerEvent);
+    if (crc.value() != laneCrc)
+        return Status(StatusCode::ChecksumMismatch,
+                      path + ": lane CRC mismatch");
     for (std::size_t i = 0; i < n; ++i) {
         if (out.pcs[i] >= numInsts)
             return Status(StatusCode::Corrupt,
                           path + ": event " + std::to_string(i) +
                               " pc out of range");
-    }
-
-    if (opts.verifyLanes) {
-        Crc32 crc;
-        crc.update(p, n * laneBytesPerEvent);
-        if (crc.value() != laneCrc)
-            return Status(StatusCode::ChecksumMismatch,
-                          path + ": lane CRC mismatch");
-        for (std::size_t i = 0; i < n; ++i) {
-            const Inst &inst = out.prog.insts[out.pcs[i]];
-            if (out.cls[i] != static_cast<std::uint8_t>(classify(inst)))
-                return Status(StatusCode::Corrupt,
-                              path + ": event " + std::to_string(i) +
-                                  " class lane disagrees with program");
-            const unsigned writes = out.numPredWrites(i);
-            if ((writes >= 1 && out.predReg0[i] >= numPredRegs) ||
-                (writes >= 2 && out.predReg1[i] >= numPredRegs))
-                return Status(StatusCode::Corrupt,
-                              path + ": event " + std::to_string(i) +
-                                  " predicate register out of range");
-        }
+        const Inst &inst = out.prog.insts[out.pcs[i]];
+        if (out.cls[i] != static_cast<std::uint8_t>(classify(inst)))
+            return Status(StatusCode::Corrupt,
+                          path + ": event " + std::to_string(i) +
+                              " class lane disagrees with program");
+        const unsigned writes = out.numPredWrites(i);
+        if (writes > 2)
+            return Status(StatusCode::Corrupt,
+                          path + ": event " + std::to_string(i) +
+                              " claims " + std::to_string(writes) +
+                              " predicate writes");
+        if ((writes >= 1 && out.predReg0[i] >= numPredRegs) ||
+            (writes >= 2 && out.predReg1[i] >= numPredRegs))
+            return Status(StatusCode::Corrupt,
+                          path + ": event " + std::to_string(i) +
+                              " predicate register out of range");
     }
 
     out.mapping = std::make_unique<MmapFile>(std::move(file));

@@ -1,35 +1,33 @@
 /**
  * @file
- * Structure-of-arrays form of a RecordedTrace, pre-decoded for the
- * hot replay loop (PredictionEngine::processBatch).
+ * The one trace type: a recorded instruction stream in
+ * structure-of-arrays form, pre-decoded for the hot replay loop
+ * (PredictionEngine::processBatch), and its one file format,
+ * PABPDTF1.
  *
- * RecordedTrace::materialise() re-resolves the static instruction
- * (a bounds-checked map lookup), re-unpacks the event bitfields and
- * fills a full DynInst for EVERY replayed instruction. A DecodedTrace
- * does that work exactly once at build time: each per-event lane the
- * engine's batch loop touches (pc, opcode class, guard/taken flags,
- * predicate-write payload) is a flat contiguous array indexed by
- * sequence number, so the inner loop is a handful of indexed loads
- * with no per-step DynInst construction. The pc lane doubles as the
- * static-instruction index (a trace pc IS an index into the owned
- * program), so the old pre-resolved `const Inst *` lane is gone -
- * `inst(i)` is one add off the pc the loop already loaded, and the
- * lanes are pure POD, which is what makes the zero-copy file mapping
- * below possible.
+ * Each per-event lane the engine's batch loop touches (pc, opcode
+ * class, guard/taken flags, predicate-write payload) is a flat
+ * contiguous array indexed by sequence number, so the inner loop is a
+ * handful of indexed loads with no per-step DynInst construction. The
+ * pc lane doubles as the static-instruction index (a trace pc IS an
+ * index into the owned program), so `inst(i)` is one add off the pc
+ * the loop already loaded, and the lanes are pure POD, which is what
+ * makes the zero-copy file mapping below possible. materialise(i)
+ * rebuilds the full DynInst for the reference replay loop
+ * (replayTrace).
  *
  * The lanes live behind raw const pointers into one of two backings:
  *
- *  - build() / record(): owned vectors, decoded from a
- *    RecordedTrace (file readers, fuzz, mining) or recorded straight
- *    from an emulator (the sweep's trace builds), or
+ *  - record() / build(): owned vectors, recorded straight from an
+ *    emulator (sweeps, fuzz, mining, tools) or decoded from a
+ *    RecordedTrace (the perfbench driver's traced spans), or
  *  - mapDecodedTraceFile(): points the lanes straight into a
  *    read-only mmap of a PABPDTF1 file written by
  *    saveDecodedTraceFile(). Opening cost is header + program
- *    validation plus one bounds scan of the pc lane - it no longer
- *    scales with re-decoding the event stream, so cold-starting a
- *    sweep over a huge trace is cheap (docs/PERF.md).
+ *    validation plus one verification pass over the lanes - it never
+ *    re-decodes the event stream (docs/PERF.md).
  *
- * A built or mapped DecodedTrace is immutable and safe to share
+ * A recorded or mapped DecodedTrace is immutable and safe to share
  * READ-ONLY across threads - the sweep runner caches one per
  * (workload, measurement seed, budget) and replays every matching
  * cell against it, exactly like the compiled-program cache
@@ -47,8 +45,10 @@
  *   | predVal u8[n]
  * headerCrc covers the 32 bytes before it; progCrc the program
  * records; laneCrc the whole lane region. Every malformed-input path
- * is a typed Status (BadMagic / VersionMismatch / ChecksumMismatch /
- * Truncated / Corrupt), never a crash.
+ * is a typed Status (IoError / BadMagic / VersionMismatch /
+ * ChecksumMismatch / Truncated / Corrupt), never a crash. A damaged
+ * file is refused whole: there is no salvage, because a trace is
+ * re-recorded from (workload, seed, budget) in milliseconds.
  */
 
 #ifndef PABP_SIM_DECODED_TRACE_HH
@@ -65,7 +65,7 @@
 
 namespace pabp {
 
-/** A RecordedTrace unpacked into per-field lanes (seq = index). */
+/** A recorded instruction stream in per-field lanes (seq = index). */
 struct DecodedTrace
 {
     /**
@@ -92,12 +92,12 @@ struct DecodedTrace
      *  @{ */
     const std::uint32_t *pcs = nullptr;
     const std::uint8_t *cls = nullptr; ///< a Class value
-    /** bit0 guard, bit1 taken, bits 2-3 numPredWrites - the exact
-     *  RecordedTrace::Event::flags packing. */
+    /** bit0 guard, bit1 taken, bits 2-3 numPredWrites (0..2) - the
+     *  packDynInst() flags packing. */
     const std::uint8_t *flags = nullptr;
     const std::uint8_t *predReg0 = nullptr;
     const std::uint8_t *predReg1 = nullptr;
-    /** bit0/bit1 = write values, bit2 cmpRel (Event::predVal). */
+    /** bit0/bit1 = write values, bit2 cmpRel (packDynInst()). */
     const std::uint8_t *predVal = nullptr;
     const std::uint32_t *nextPcs = nullptr;
     /** @} */
@@ -131,10 +131,11 @@ struct DecodedTrace
     }
 
     /**
-     * Reconstitute the full DynInst for event @p i - field-for-field
-     * what RecordedTrace::materialise(i) returns. The reference-path
-     * comparisons and lane-packing tests use this; the batch loop
-     * itself reads the lanes directly.
+     * Reconstitute the DynInst for event @p i - field for field what
+     * the emulator's step() produced when the event was recorded,
+     * except effAddr, which no trace keeps (inst points into the
+     * owned program copy). The reference replay loop (replayTrace)
+     * uses this; the batch loop itself reads the lanes directly.
      */
     DynInst
     materialise(std::size_t i) const
@@ -162,7 +163,9 @@ struct DecodedTrace
         return dyn;
     }
 
-    /** Decode @p trace into owned in-memory lanes. */
+    /** Decode @p trace into owned in-memory lanes. Only the
+     *  perfbench driver's traced record/decode spans still take this
+     *  two-step path; everything else calls record(). */
     static DecodedTrace build(const RecordedTrace &trace);
 
     /**
@@ -204,21 +207,6 @@ struct DecodedTrace
     void bindStore();
 };
 
-/** Knobs for mapDecodedTraceFile(). */
-struct DecodedMapOptions
-{
-    /**
-     * Verify the lane CRC and the per-event invariants (class lane
-     * consistent with the program, predicate-write registers in
-     * range). Costs one sequential pass over the lanes; disable only
-     * for trusted, locally-written files. The pc-lane bounds scan
-     * ALWAYS runs - the batch loop indexes the program with lane pcs
-     * unchecked, so out-of-range pcs must be impossible regardless of
-     * this knob.
-     */
-    bool verifyLanes = true;
-};
-
 /** Serialise @p trace as a PABPDTF1 file (write-then-rename). */
 Status saveDecodedTraceFile(const DecodedTrace &trace,
                             const std::string &path);
@@ -226,11 +214,14 @@ Status saveDecodedTraceFile(const DecodedTrace &trace,
 /**
  * Map a PABPDTF1 file zero-copy: the program section is deserialised
  * (it is small and the Inst layout is not the disk layout), the event
- * lanes stay in the read-only mapping. Torn, truncated or corrupt
- * files yield typed errors; nothing aborts.
+ * lanes stay in the read-only mapping. The header, program and lane
+ * CRCs are checked and every event is validated against the program
+ * (pc in range, class lane consistent, at most two predicate writes
+ * to registers in range), so a mapped trace replays exactly like the
+ * recorded one. Torn, truncated or corrupt files yield typed errors;
+ * nothing aborts.
  */
-Expected<DecodedTrace> mapDecodedTraceFile(
-    const std::string &path, const DecodedMapOptions &opts = {});
+Expected<DecodedTrace> mapDecodedTraceFile(const std::string &path);
 
 } // namespace pabp
 

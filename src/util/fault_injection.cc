@@ -1,8 +1,5 @@
 #include "util/fault_injection.hh"
 
-#include <ios>
-#include <utility>
-
 namespace pabp {
 
 std::string
@@ -10,7 +7,6 @@ applyFault(std::string bytes, const FaultSpec &spec)
 {
     switch (spec.kind) {
       case FaultSpec::Kind::None:
-      case FaultSpec::Kind::FailRead:
         break;
       case FaultSpec::Kind::BitFlip:
         if (spec.offset < bytes.size())
@@ -23,28 +19,6 @@ applyFault(std::string bytes, const FaultSpec &spec)
         break;
     }
     return bytes;
-}
-
-FaultyStreambuf::FaultyStreambuf(std::string bytes, FaultSpec spec)
-    : data(applyFault(std::move(bytes), spec)),
-      failAtEnd(spec.kind == FaultSpec::Kind::FailRead)
-{
-    if (failAtEnd && spec.offset < data.size())
-        data.resize(spec.offset);
-    setg(data.data(), data.data(), data.data() + data.size());
-}
-
-FaultyStreambuf::int_type
-FaultyStreambuf::underflow()
-{
-    // All buffered data has been consumed. A FailRead fault now
-    // behaves like the device erroring out: istream catches the
-    // exception and sets badbit (its exception mask is goodbit by
-    // default), which readers must report as IoError - distinct from
-    // the eof a Truncate fault produces.
-    if (failAtEnd)
-        throw std::ios_base::failure("injected I/O failure");
-    return traits_type::eof();
 }
 
 } // namespace pabp

@@ -9,8 +9,7 @@
  *  - A crash (SIGKILL, power loss) at ANY byte position costs at most
  *    the record being appended: opening the file for writing scans it
  *    and TRUNCATES a torn or corrupt tail back to the last fully
- *    valid frame (the PABPTRC2 salvage discipline - longest valid
- *    prefix - applied to a mutable file).
+ *    valid frame (salvage: keep the longest valid prefix).
  *  - Appends never rewrite existing bytes, so two processes of the
  *    same campaign interrupted at different points converge to the
  *    same byte sequence once both have drained.

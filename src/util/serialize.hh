@@ -1,12 +1,12 @@
 /**
  * @file
- * Byte-level state serialisation used by the PABPTRC2 trace format and
- * the results journal. A StateSink writes PODs to a stream while
+ * Byte-level state serialisation used by the results journal and the
+ * predictor state snapshots. A StateSink writes PODs to a stream while
  * folding every byte into a running CRC-32; a StateSource reads them
  * back, returning typed Status errors (Truncated on a short read,
  * IoError when the underlying stream itself failed) instead of
  * panicking. Multi-byte values travel in host byte order; like the
- * seed trace format, the on-disk artifacts are declared little-endian.
+ * trace format, the on-disk artifacts are declared little-endian.
  */
 
 #ifndef PABP_UTIL_SERIALIZE_HH

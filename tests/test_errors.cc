@@ -9,11 +9,12 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdio>
+#include <fstream>
 
 #include "bpred/factory.hh"
 #include "isa/program.hh"
-#include "sim/trace_io.hh"
+#include "sim/decoded_trace.hh"
 #include "util/options.hh"
 #include "util/sat_counter.hh"
 
@@ -71,11 +72,16 @@ TEST(ErrorPaths, SatCounterWidthAsserted)
 // surface as StatusCode::Truncated through the recoverable API.
 TEST(ErrorPaths, TruncatedTraceIsRecoverableNotPanic)
 {
-    std::string bytes("PABPTRC1\x05", 9); // magic + partial count
-    std::istringstream is(bytes);
-    Expected<RecordedTrace> loaded = readTrace(is);
+    const std::string path =
+        ::testing::TempDir() + "errors_truncated.pabpdtf";
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write("PABPDTF1\x01", 9); // magic + partial version
+    }
+    Expected<DecodedTrace> loaded = mapDecodedTraceFile(path);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::Truncated);
+    std::remove(path.c_str());
 }
 
 TEST(ErrorPaths, UnknownPredictorIsTypedViaTryFactory)

@@ -27,7 +27,6 @@
 #include "sim/context_schedule.hh"
 #include "sim/decoded_trace.hh"
 #include "sim/emulator.hh"
-#include "sim/trace_io.hh"
 #include "sweep.hh"
 #include "workloads/workload.hh"
 
@@ -112,7 +111,7 @@ TEST(ContextSchedule, ParseAndNameRoundTrip)
 }
 
 // ---------------------------------------------------------------------
-// Replay fixtures: one compiled workload + recorded/decoded trace per
+// Replay fixtures: one compiled workload + recorded trace per
 // context, plus a way to mint fresh emulators for the reference path.
 
 constexpr std::uint64_t budget = 20000;
@@ -121,7 +120,6 @@ struct CtxFixture
 {
     Workload wl;
     CompiledProgram cp;
-    RecordedTrace trace;
     DecodedTrace dec;
 };
 
@@ -134,8 +132,7 @@ makeCtx(const std::string &name, std::uint64_t seed)
     Emulator emu(f.cp.prog);
     if (f.wl.init)
         f.wl.init(emu.state());
-    f.trace = recordTrace(emu, budget);
-    f.dec = DecodedTrace::build(f.trace);
+    f.dec = DecodedTrace::record(emu, budget);
     return f;
 }
 
@@ -168,8 +165,7 @@ makeCallCtx(std::int64_t iterations, unsigned pad)
     CtxFixture f;
     f.cp.prog = p;
     Emulator emu(f.cp.prog);
-    f.trace = recordTrace(emu, budget);
-    f.dec = DecodedTrace::build(f.trace);
+    f.dec = DecodedTrace::record(emu, budget);
     return f;
 }
 

@@ -24,7 +24,6 @@
 #include "core/predictability.hh"
 #include "sim/decoded_trace.hh"
 #include "sim/emulator.hh"
-#include "sim/trace_io.hh"
 #include "workloads/workload.hh"
 
 namespace pabp {
@@ -228,8 +227,8 @@ TEST(PredictabilityConfigCheck, RejectsMalformedConfigs)
 }
 
 // ---------------------------------------------------------------------
-// Trace-level characterization: both trace representations see the
-// same conditional-branch stream.
+// Trace-level characterization: the recorded lanes and the live
+// emulator stream they were recorded from give the same report.
 
 TEST(PredictabilityTrace, RecordedAndDecodedAgree)
 {
@@ -237,12 +236,19 @@ TEST(PredictabilityTrace, RecordedAndDecodedAgree)
     CompileOptions copts;
     CompiledProgram cp = compileWorkload(wl, copts);
     Emulator emu(cp.prog);
-    if (wl.init)
+    Emulator live(cp.prog);
+    if (wl.init) {
         wl.init(emu.state());
-    RecordedTrace trace = recordTrace(emu, 30'000);
-    DecodedTrace dec = DecodedTrace::build(trace);
+        wl.init(live.state());
+    }
+    const DecodedTrace dec = DecodedTrace::record(emu, 30'000);
 
-    const PredictabilityReport a = characterizeTrace(trace);
+    PredictabilityAnalyzer an{PredictabilityConfig{}};
+    DynInst dyn;
+    for (std::uint64_t i = 0; i < 30'000 && live.step(dyn); ++i)
+        if (dyn.inst->isConditionalBranch())
+            an.observe(dyn.pc, dyn.taken);
+    const PredictabilityReport a = an.report();
     const PredictabilityReport b = characterizeTrace(dec);
     ASSERT_EQ(a.perPc.size(), b.perPc.size());
     EXPECT_EQ(a.occurrences, b.occurrences);
@@ -263,7 +269,7 @@ TEST(PredictabilityTrace, EventBudgetMatchesReplayBudget)
     Emulator emu(cp.prog);
     if (wl.init)
         wl.init(emu.state());
-    RecordedTrace trace = recordTrace(emu, 20'000);
+    const DecodedTrace trace = DecodedTrace::record(emu, 20'000);
 
     const PredictabilityReport whole = characterizeTrace(trace);
     const PredictabilityReport half =

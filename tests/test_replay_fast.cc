@@ -5,8 +5,9 @@
  * PGU bit count, exported metrics BYTES - to the reference
  * replayTrace() loop, across predictor kinds (the E2 axis) and
  * engine configurations (the E6 axis plus the speculative-squash
- * extension). Also pins the DecodedTrace lane packing against
- * RecordedTrace::materialise, the clamped cursor contracts of
+ * extension). Also pins the DecodedTrace lane packing against the
+ * live emulator's step() stream, the PABPDTF1 file reader, the
+ * clamped cursor contracts of
  * processBatch and replayTraceFrom, the chunked-batch invariant, the
  * ProcessResult::specSquashed/squashed separation, and the sweep
  * runner's fast-vs-reference byte equality and trace-cache counters.
@@ -29,6 +30,7 @@
 #include "sim/emulator.hh"
 #include "sim/trace_io.hh"
 #include "sweep.hh"
+#include "util/crc32.hh"
 #include "workloads/workload.hh"
 
 namespace pabp {
@@ -39,9 +41,9 @@ using bench::RunSpec;
 using bench::SweepRunner;
 
 // ---------------------------------------------------------------------
-// Shared fixtures: one recorded + decoded trace per workload.
+// Shared fixtures: one recorded trace per workload.
 
-RecordedTrace
+DecodedTrace
 recordWorkload(const std::string &name, std::uint64_t max_insts)
 {
     Workload wl = makeWorkload(name, 42);
@@ -50,7 +52,16 @@ recordWorkload(const std::string &name, std::uint64_t max_insts)
     Emulator emu(cp.prog);
     if (wl.init)
         wl.init(emu.state());
-    return recordTrace(emu, max_insts);
+    return DecodedTrace::record(emu, max_insts);
+}
+
+Emulator
+startWorkload(const CompiledProgram &cp, const Workload &wl)
+{
+    Emulator emu(cp.prog);
+    if (wl.init)
+        wl.init(emu.state());
+    return emu;
 }
 
 std::string
@@ -81,7 +92,7 @@ struct ReplayOutcome
 };
 
 ReplayOutcome
-runReference(const RecordedTrace &trace, const std::string &kind,
+runReference(const DecodedTrace &trace, const std::string &kind,
              const EngineConfig &ecfg)
 {
     PredictorPtr pred = makePredictor(kind, 12);
@@ -121,50 +132,53 @@ expectEquivalent(const ReplayOutcome &ref, const ReplayOutcome &fast)
 }
 
 // ---------------------------------------------------------------------
-// Lane packing: DecodedTrace::materialise vs RecordedTrace.
+// Lane packing: DecodedTrace::materialise against an independent
+// source, a second emulator's step() stream. The reference replay
+// loop reads materialise(), so this keeps it independent of the lane
+// packing the fast path shares.
 
-TEST(DecodedTraceLanes, MaterialiseMatchesRecordedTrace)
+TEST(DecodedTraceLanes, MaterialiseMatchesLiveEmulator)
 {
-    RecordedTrace trace = recordWorkload("interp", 30000);
-    DecodedTrace dec = DecodedTrace::build(trace);
-    ASSERT_EQ(dec.size(), trace.size());
+    constexpr std::uint64_t steps = 30000;
+    for (const std::string &name : workloadNames()) {
+        SCOPED_TRACE(name);
+        Workload wl = makeWorkload(name, 42);
+        const CompiledProgram cp = compileWorkload(wl, CompileOptions{});
+        Emulator rec = startWorkload(cp, wl);
+        Emulator live = startWorkload(cp, wl);
+        const DecodedTrace dec = DecodedTrace::record(rec, steps);
 
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        DynInst a = trace.materialise(i);
-        DynInst b = dec.materialise(i);
-        ASSERT_EQ(a.seq, b.seq) << i;
-        ASSERT_EQ(a.pc, b.pc) << i;
-        ASSERT_EQ(a.guard, b.guard) << i;
-        ASSERT_EQ(a.taken, b.taken) << i;
-        ASSERT_EQ(a.isControl, b.isControl) << i;
-        ASSERT_EQ(a.nextPc, b.nextPc) << i;
-        ASSERT_EQ(a.cmpRel, b.cmpRel) << i;
-        ASSERT_EQ(a.isMem, b.isMem) << i;
-        ASSERT_EQ(a.numPredWrites, b.numPredWrites) << i;
-        for (unsigned w = 0; w < a.numPredWrites; ++w) {
-            ASSERT_EQ(a.predWrites[w].reg, b.predWrites[w].reg) << i;
-            ASSERT_EQ(a.predWrites[w].value, b.predWrites[w].value)
-                << i;
+        DynInst a;
+        std::size_t i = 0;
+        for (; i < steps && live.step(a); ++i) {
+            ASSERT_LT(i, dec.size());
+            const DynInst b = dec.materialise(i);
+            ASSERT_EQ(a.seq, b.seq) << i;
+            ASSERT_EQ(a.pc, b.pc) << i;
+            ASSERT_EQ(encode(*a.inst), encode(*b.inst)) << i;
+            ASSERT_EQ(a.inst->regionId, b.inst->regionId) << i;
+            ASSERT_EQ(a.guard, b.guard) << i;
+            ASSERT_EQ(a.taken, b.taken) << i;
+            ASSERT_EQ(a.isControl, b.isControl) << i;
+            ASSERT_EQ(a.nextPc, b.nextPc) << i;
+            ASSERT_EQ(a.numPredWrites, b.numPredWrites) << i;
+            for (unsigned w = 0; w < a.numPredWrites; ++w) {
+                ASSERT_EQ(a.predWrites[w].reg, b.predWrites[w].reg)
+                    << i;
+                ASSERT_EQ(a.predWrites[w].value, b.predWrites[w].value)
+                    << i;
+            }
+            ASSERT_EQ(a.cmpRel, b.cmpRel) << i;
+            ASSERT_EQ(a.isMem, b.isMem) << i;
         }
-        // The decoded trace owns a program COPY, so the pointers
-        // differ by design; every static field the engine reads must
-        // still agree.
-        ASSERT_NE(a.inst, nullptr);
-        ASSERT_NE(b.inst, nullptr);
-        ASSERT_EQ(a.inst->op, b.inst->op) << i;
-        ASSERT_EQ(a.inst->qp, b.inst->qp) << i;
-        ASSERT_EQ(a.inst->imm, b.inst->imm) << i;
-        ASSERT_EQ(a.inst->pdst1, b.inst->pdst1) << i;
-        ASSERT_EQ(a.inst->pdst2, b.inst->pdst2) << i;
-        ASSERT_EQ(a.inst->regionId, b.inst->regionId) << i;
-        ASSERT_EQ(a.inst->regionBranch, b.inst->regionBranch) << i;
+        EXPECT_EQ(i, dec.size());
+        EXPECT_GT(i, 0u);
     }
 }
 
 TEST(DecodedTraceLanes, ClassLaneMatchesDispatchRules)
 {
-    RecordedTrace trace = recordWorkload("filter", 30000);
-    DecodedTrace dec = DecodedTrace::build(trace);
+    const DecodedTrace dec = recordWorkload("filter", 30000);
 
     std::uint64_t seen[4] = {0, 0, 0, 0};
     for (std::size_t i = 0; i < dec.size(); ++i) {
@@ -201,15 +215,6 @@ TEST(DecodedTraceLanes, ClassLaneMatchesDispatchRules)
 // ---------------------------------------------------------------------
 // Recording straight into lanes: DecodedTrace::record must be lane for
 // lane what build(recordTrace(...)) gives, at every budget shape.
-
-Emulator
-startWorkload(const CompiledProgram &cp, const Workload &wl)
-{
-    Emulator emu(cp.prog);
-    if (wl.init)
-        wl.init(emu.state());
-    return emu;
-}
 
 template <typename T>
 void
@@ -307,8 +312,7 @@ TEST(FastReplayEquivalence, EveryPredictorKind)
         "perceptron",   "comb",            "tage"};
 
     for (const char *wl : {"interp", "bsort"}) {
-        RecordedTrace trace = recordWorkload(wl, 40000);
-        DecodedTrace dec = DecodedTrace::build(trace);
+        const DecodedTrace dec = recordWorkload(wl, 40000);
         for (const char *kind : kinds) {
             for (int armed = 0; armed < 2; ++armed) {
                 SCOPED_TRACE(std::string(wl) + "/" + kind +
@@ -316,7 +320,7 @@ TEST(FastReplayEquivalence, EveryPredictorKind)
                 EngineConfig ecfg;
                 ecfg.useSfpf = armed != 0;
                 ecfg.usePgu = armed != 0;
-                expectEquivalent(runReference(trace, kind, ecfg),
+                expectEquivalent(runReference(dec, kind, ecfg),
                                  runFast(dec, kind, ecfg));
             }
         }
@@ -388,11 +392,10 @@ TEST(FastReplayEquivalence, EveryEngineConfig)
 {
     for (const char *wl : {"bsort", "interp", "dchain", "filter",
                            "histogram"}) {
-        RecordedTrace trace = recordWorkload(wl, 40000);
-        DecodedTrace dec = DecodedTrace::build(trace);
+        const DecodedTrace dec = recordWorkload(wl, 40000);
         for (const auto &[name, ecfg] : configGrid()) {
             SCOPED_TRACE(std::string(wl) + "/" + name);
-            expectEquivalent(runReference(trace, "gshare", ecfg),
+            expectEquivalent(runReference(dec, "gshare", ecfg),
                              runFast(dec, "gshare", ecfg));
         }
     }
@@ -419,8 +422,7 @@ TEST(FastReplayEquivalence, PerceptronAndYagsAcrossConfigs)
                                  {"+both", true, true}};
 
     for (const char *wl : {"interp", "fsm"}) {
-        RecordedTrace trace = recordWorkload(wl, 40000);
-        DecodedTrace dec = DecodedTrace::build(trace);
+        const DecodedTrace dec = recordWorkload(wl, 40000);
         for (const char *kind : {"perceptron", "yags", "comb",
                                  "tage"}) {
             for (const Cell &cell : cells) {
@@ -429,7 +431,7 @@ TEST(FastReplayEquivalence, PerceptronAndYagsAcrossConfigs)
                 EngineConfig ecfg;
                 ecfg.useSfpf = cell.sfpf;
                 ecfg.usePgu = cell.pgu;
-                expectEquivalent(runReference(trace, kind, ecfg),
+                expectEquivalent(runReference(dec, kind, ecfg),
                                  runFast(dec, kind, ecfg));
             }
         }
@@ -449,8 +451,7 @@ TEST(FastReplayEquivalence, TargetStructureCountersMatchReference)
 {
     for (const char *wl : {"interp", "bsort", "fsm"}) {
         SCOPED_TRACE(wl);
-        RecordedTrace trace = recordWorkload(wl, 40000);
-        DecodedTrace dec = DecodedTrace::build(trace);
+        const DecodedTrace dec = recordWorkload(wl, 40000);
         EngineConfig ecfg;
         ecfg.useSfpf = true;
         ecfg.usePgu = true;
@@ -458,7 +459,7 @@ TEST(FastReplayEquivalence, TargetStructureCountersMatchReference)
 
         PredictorPtr predA = makePredictor("gshare", 12);
         PredictionEngine ref(*predA, ecfg);
-        replayTrace(trace, ref, trace.size());
+        replayTrace(dec, ref, dec.size());
 
         PredictorPtr predB = makePredictor("gshare", 12);
         PredictionEngine fast(*predB, ecfg);
@@ -491,12 +492,11 @@ TEST(FastReplayEquivalence, TargetStructureCountersMatchReference)
 TEST(FastReplayEquivalence, ScheduleCacheHitMatchesReference)
 {
     for (const char *wl : {"interp", "fsm", "listwalk"}) {
-        RecordedTrace trace = recordWorkload(wl, 40000);
-        DecodedTrace dec = DecodedTrace::build(trace);
+        const DecodedTrace dec = recordWorkload(wl, 40000);
         for (const auto &[name, ecfg] : configGrid()) {
             SCOPED_TRACE(std::string(wl) + "/" + name);
             const ReplayOutcome ref =
-                runReference(trace, "gshare", ecfg);
+                runReference(dec, "gshare", ecfg);
             const ReplayOutcome miss = runFast(dec, "gshare", ecfg);
             const ReplayOutcome hit = runFast(dec, "gshare", ecfg);
             expectEquivalent(ref, miss);
@@ -504,7 +504,7 @@ TEST(FastReplayEquivalence, ScheduleCacheHitMatchesReference)
             // A different predictor kind must reuse the same schedule
             // (it is predictor-independent) and still match ITS
             // reference.
-            expectEquivalent(runReference(trace, "perceptron", ecfg),
+            expectEquivalent(runReference(dec, "perceptron", ecfg),
                              runFast(dec, "perceptron", ecfg));
         }
     }
@@ -514,8 +514,7 @@ TEST(FastReplayEquivalence, ChunkedScheduleCacheHitMatches)
 {
     // Chunked replay captures one schedule per chunk (keyed on the
     // carried predicate state); a second chunked pass hits every one.
-    RecordedTrace trace = recordWorkload("interp", 40000);
-    DecodedTrace dec = DecodedTrace::build(trace);
+    const DecodedTrace dec = recordWorkload("interp", 40000);
     EngineConfig ecfg;
     ecfg.useSfpf = true;
     ecfg.usePgu = true;
@@ -541,8 +540,7 @@ TEST(FastReplayEquivalence, ChunkedScheduleCacheHitMatches)
 
 TEST(DecodedTraceFile, MmapMatchesInMemory)
 {
-    RecordedTrace trace = recordWorkload("filter", 30000);
-    DecodedTrace dec = DecodedTrace::build(trace);
+    const DecodedTrace dec = recordWorkload("filter", 30000);
     const std::string path = tempPath("decoded.pabpdtf");
     ASSERT_TRUE(saveDecodedTraceFile(dec, path).ok());
 
@@ -566,7 +564,7 @@ TEST(DecodedTraceFile, MmapMatchesInMemory)
     EngineConfig ecfg;
     ecfg.useSfpf = true;
     ecfg.usePgu = true;
-    const ReplayOutcome ref = runReference(trace, "gshare", ecfg);
+    const ReplayOutcome ref = runReference(dec, "gshare", ecfg);
     expectEquivalent(ref, runFast(mm, "gshare", ecfg));
     expectEquivalent(ref, runFast(mm, "gshare", ecfg));
     std::remove(path.c_str());
@@ -574,8 +572,7 @@ TEST(DecodedTraceFile, MmapMatchesInMemory)
 
 TEST(DecodedTraceFile, TruncationIsTyped)
 {
-    RecordedTrace trace = recordWorkload("bsort", 8000);
-    DecodedTrace dec = DecodedTrace::build(trace);
+    const DecodedTrace dec = recordWorkload("bsort", 8000);
     const std::string path = tempPath("trunc.pabpdtf");
     ASSERT_TRUE(saveDecodedTraceFile(dec, path).ok());
     const std::string bytes = readFile(path);
@@ -600,8 +597,7 @@ TEST(DecodedTraceFile, TruncationIsTyped)
 
 TEST(DecodedTraceFile, CorruptionIsTyped)
 {
-    RecordedTrace trace = recordWorkload("bsort", 8000);
-    DecodedTrace dec = DecodedTrace::build(trace);
+    const DecodedTrace dec = recordWorkload("bsort", 8000);
     const std::string path = tempPath("corrupt.pabpdtf");
     ASSERT_TRUE(saveDecodedTraceFile(dec, path).ok());
     const std::string bytes = readFile(path);
@@ -630,7 +626,7 @@ TEST(DecodedTraceFile, CorruptionIsTyped)
                   StatusCode::ChecksumMismatch);
     }
     {
-        // Lane damage: the (default-on) lane CRC catches it.
+        // Lane damage: the lane CRC catches it.
         Expected<DecodedTrace> mapped = mapWithFlip(bytes.size() - 1);
         ASSERT_FALSE(mapped.ok());
         EXPECT_EQ(mapped.status().code(),
@@ -639,13 +635,55 @@ TEST(DecodedTraceFile, CorruptionIsTyped)
     std::remove(path.c_str());
 }
 
+TEST(DecodedTraceFile, ImpossiblePredWriteCountIsCorrupt)
+{
+    // The flags lane has a 2-bit write count but an event has at most
+    // two write slots. A file claiming three writes, with every CRC
+    // recomputed so only the event check can see it, must be refused
+    // before materialise() or the batch loop index past the slots.
+    Workload wl = makeWorkload("dchain", 77);
+    const CompiledProgram cp = compileWorkload(wl, CompileOptions{});
+    Emulator emu = startWorkload(cp, wl);
+    const DecodedTrace dec = DecodedTrace::record(emu, 20000);
+    const std::string path = tempPath("writes.pabpdtf");
+    ASSERT_TRUE(saveDecodedTraceFile(dec, path).ok());
+    std::string bytes = readFile(path);
+
+    std::size_t victim = dec.size();
+    for (std::size_t i = 0; i < dec.size() && victim == dec.size(); ++i)
+        if (dec.numPredWrites(i) == 2)
+            victim = i;
+    ASSERT_LT(victim, dec.size()) << "no two-write define to damage";
+
+    const std::size_t n = dec.size();
+    const std::size_t lanes =
+        (36 + dec.prog.size() * instRecordSize + 4 + 7) & ~std::size_t{7};
+    const std::size_t flagsLane = lanes + n * 9;
+    bytes[flagsLane + victim] =
+        static_cast<char>(bytes[flagsLane + victim] | 0x0c);
+    const std::uint32_t laneCrc = crc32(bytes.data() + lanes, n * 13);
+    std::memcpy(bytes.data() + 28, &laneCrc, 4);
+    const std::uint32_t headerCrc = crc32(bytes.data(), 32);
+    std::memcpy(bytes.data() + 32, &headerCrc, 4);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+
+    Expected<DecodedTrace> mapped = mapDecodedTraceFile(path);
+    ASSERT_FALSE(mapped.ok()) << "three predicate writes mapped Ok";
+    EXPECT_EQ(mapped.status().code(), StatusCode::Corrupt)
+        << mapped.status().toString();
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Cursor contracts.
 
 TEST(FastReplayEquivalence, ChunkedBatchesMatchOneShot)
 {
-    RecordedTrace trace = recordWorkload("interp", 40000);
-    DecodedTrace dec = DecodedTrace::build(trace);
+    const DecodedTrace dec = recordWorkload("interp", 40000);
     EngineConfig ecfg;
     ecfg.useSfpf = true;
     ecfg.usePgu = true;
@@ -668,8 +706,7 @@ TEST(FastReplayEquivalence, ChunkedBatchesMatchOneShot)
 
 TEST(FastReplayEquivalence, ProcessBatchClampsPastTheEnd)
 {
-    RecordedTrace trace = recordWorkload("bsort", 5000);
-    DecodedTrace dec = DecodedTrace::build(trace);
+    const DecodedTrace dec = recordWorkload("bsort", 5000);
     PredictorPtr pred = makePredictor("gshare", 12);
     EngineConfig ecfg;
     ecfg.useSfpf = true;
@@ -692,7 +729,7 @@ TEST(FastReplayEquivalence, ReplayTraceFromClampsPastTheEnd)
     // PAST the end used to misbehave instead of returning the cursor
     // unchanged - a cursor positioned past a shorter trace would
     // silently re-run events.
-    RecordedTrace trace = recordWorkload("bsort", 5000);
+    const DecodedTrace trace = recordWorkload("bsort", 5000);
     PredictorPtr pred = makePredictor("gshare", 12);
     EngineConfig ecfg;
     PredictionEngine engine(*pred, ecfg);
@@ -714,7 +751,7 @@ TEST(FastReplayEquivalence, ReplayTraceFromClampsPastTheEnd)
 
 TEST(ProcessResultFlags, SpecSquashedIsDistinctFromSquashed)
 {
-    RecordedTrace trace = recordWorkload("interp", 60000);
+    const DecodedTrace trace = recordWorkload("interp", 60000);
     EngineConfig ecfg;
     ecfg.useSfpf = true;
     ecfg.useSpeculativeSquash = true;

@@ -63,7 +63,7 @@ declareOptions()
     opts.declare("shrink-budget", "200",
                  "max candidate evaluations per minimisation");
     opts.declare("scratch-dir", ".",
-                 "directory for journal scratch files");
+                 "directory for trace and journal scratch files");
     opts.declare("check-harness", "false",
                  "self-check: re-introduce the PR-4 cursor-clamp bug "
                  "and verify it is caught and minimised to <= 20 "

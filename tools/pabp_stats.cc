@@ -15,15 +15,12 @@
  *                                               files into a journal
  *   pabp-stats --characterize <trace>           predictability metrics
  *                                               (core/predictability.hh)
- *                                               for a recorded
- *                                               (PABPTRC1/2) or decoded
- *                                               (PABPDTF1) trace, as a
- *                                               pabp.metrics document
- *                                               on stdout
+ *                                               for a PABPDTF1 trace,
+ *                                               as a pabp.metrics
+ *                                               document on stdout
  *
  * Journal inputs are detected by magic, so the two-argument diff form
- * accepts either representation (both sides must match), and
- * --characterize accepts both trace formats the same way. Exit
+ * accepts either representation (both sides must match). Exit
  * status: 0 = identical, 1 = differences found, 2 = usage or input
  * error - so scripts can use it both as a comparator and as a gate.
  */
@@ -42,7 +39,6 @@
 
 #include "core/predictability.hh"
 #include "sim/decoded_trace.hh"
-#include "sim/trace_io.hh"
 #include "util/journal.hh"
 #include "util/metrics.hh"
 
@@ -266,46 +262,20 @@ packMetricsDir(const std::string &dir, const std::string &out_path)
 }
 
 /**
- * --characterize: dispatch on the trace magic (PABPTRC1/2 recorded,
- * PABPDTF1 mapped decoded), run the predictability analyzer over the
- * conditional-branch stream, and print the metrics document. The
- * output is itself a pabp.metrics JSON, so the diff form of this tool
- * can compare two characterizations byte-for-byte.
+ * --characterize: map a PABPDTF1 trace, run the predictability
+ * analyzer over the conditional-branch stream, and print the metrics
+ * document. The output is itself a pabp.metrics JSON, so the diff
+ * form of this tool can compare two characterizations byte-for-byte.
  */
 int
 characterizeTraceFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    char magic[8] = {};
-    if (!in || !in.read(magic, sizeof(magic))) {
-        std::cerr << "pabp-stats: cannot read " << path << "\n";
+    Expected<DecodedTrace> trace = mapDecodedTraceFile(path);
+    if (!trace.ok()) {
+        std::cerr << "pabp-stats: " << trace.status().toString() << "\n";
         return 2;
     }
-    in.close();
-
-    PredictabilityReport report;
-    if (std::memcmp(magic, "PABPTRC", 7) == 0) {
-        Expected<RecordedTrace> trace = tryLoadTraceFile(path);
-        if (!trace.ok()) {
-            std::cerr << "pabp-stats: " << path << ": "
-                      << trace.status().toString() << "\n";
-            return 2;
-        }
-        report = characterizeTrace(trace.value());
-    } else if (std::memcmp(magic, "PABPDTF1", 8) == 0) {
-        Expected<DecodedTrace> trace = mapDecodedTraceFile(path);
-        if (!trace.ok()) {
-            std::cerr << "pabp-stats: " << path << ": "
-                      << trace.status().toString() << "\n";
-            return 2;
-        }
-        report = characterizeTrace(trace.value());
-    } else {
-        std::cerr << "pabp-stats: " << path
-                  << ": not a recorded (PABPTRC1/2) or decoded "
-                     "(PABPDTF1) trace\n";
-        return 2;
-    }
+    const PredictabilityReport report = characterizeTrace(trace.value());
 
     MetricsExporter ex;
     ex.setText("source", path);
